@@ -36,7 +36,6 @@ from .exactalg import (
     RationalQZ,
     ZqMonomial,
     ZqPoly,
-    atom_trial_divide,
     equal_as_rational,
     laurent_coefficient,
     laurent_mul,

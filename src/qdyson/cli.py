@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -223,6 +224,12 @@ def parse_shift(text: str, n: int):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a value such as "-2,0,0,2" as an option unless it
+        # looks like a negative number; integer lists are values too.
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
+
     def error(self, message):  # map argparse failures onto exit code 1
         raise UsageError(message)
 
@@ -316,12 +323,13 @@ def cmd_coeff(args) -> int:
         note = "note: delta does not sum to zero; the coefficient is 0\n"
     query = CoefficientQuery(delta=delta, shift=shift, radius=args.radius)
     split = coefficient_split(query)
-    result = CombinedResult(
-        rational=combine_sum([r for _, r in split.terms], n),
-        shift_used=split.shift_used,
-        point_count=len(split.terms),
-        delta=delta,
-    )
+    if not args.split or args.cross_check_shifts:
+        result = CombinedResult(
+            rational=combine_sum([r for _, r in split.terms], n),
+            shift_used=split.shift_used,
+            point_count=len(split.terms),
+            delta=delta,
+        )
     if args.cross_check_shifts and sum(delta) == 0:
         alternates = ["zero", "best", (1,) * n, (0,) + (1,) * (n - 1)]
         for alt in alternates:
@@ -331,11 +339,6 @@ def cmd_coeff(args) -> int:
                     f"shift cross-check failed under shift {alt}\n", args.out
                 )
                 return EXIT_MISMATCH
-    meta = {
-        "delta": list(delta),
-        "shift": list(result.shift_used),
-        "points": result.point_count,
-    }
     if args.split:
         if args.format == "json":
             body = dumps_canonical(split_json(split))
@@ -350,6 +353,11 @@ def cmd_coeff(args) -> int:
             lines.append(f"total terms: {len(split.terms)}")
             body = note + "\n".join(lines) + "\n"
     elif args.format == "json":
+        meta = {
+            "delta": list(delta),
+            "shift": list(result.shift_used),
+            "points": result.point_count,
+        }
         body = dumps_canonical(formula_json(result.rational, meta))
     else:
         body = note + _formula_text(result, latex=args.format == "latex")

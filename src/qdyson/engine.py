@@ -113,10 +113,9 @@ def combine_sum(terms: Sequence[RationalQZ], n: int) -> RationalQZ:
     for t in terms:
         for atom, mult in t.denom:
             lcm[atom] = max(lcm[atom], mult)
-    total = ZqPoly.zero(n)
-    for t in terms:
-        extra = lcm - t.denom_counter()
-        total = total + t.cleared_numer(extra)
+    total = ZqPoly.sum_of(
+        n, (t.cleared_numer(lcm - t.denom_counter()) for t in terms)
+    )
     return RationalQZ.make(1, RationalQZ.one(n).unit, total, lcm)
 
 

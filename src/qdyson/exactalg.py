@@ -7,7 +7,12 @@ Four sparse representations, all immutable in practice:
   ``QPoly`` coefficients (the brute-force expansion of the q-Dyson product
   lives here);
 * ``ZqPoly`` -- integer polynomial in q and z_1..z_n, Laurent exponents
-  allowed (z_i stands for q^{a_i});
+  allowed (z_i stands for q^{a_i}).  Each exponent vector is packed into one
+  int key with a 16-bit field per variable, so multiplying by a monomial adds
+  one int to every key; division by an atom 1 - m is a single pass that sums
+  coefficients along the lines of the exponent lattice in the direction of m.
+  The packing is private: the constructor and ``items()`` take and give
+  ((qexp, zexp), coeff) pairs;
 * ``RationalQZ`` -- sign * monomial * polynomial over a multiset of
   denominator atoms 1 - q^c * z^v, never expanded.
 
@@ -19,9 +24,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from functools import cache, reduce
+from itertools import repeat
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import mul, or_
+from struct import Struct
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DenominatorVanishes, DimensionMismatch, InternalInconsistency
 
@@ -337,7 +345,11 @@ class ZqMonomial:
 
 @dataclass(frozen=True)
 class Atom:
-    """An irreducible denominator factor 1 - q^{qexp} * prod z_i^{zexp_i}."""
+    """A denominator factor 1 - q^{qexp} * prod z_i^{zexp_i}.
+
+    It is irreducible only when the exponents are coprime:
+    1 - q^2 z^2 = (1 - q z)(1 + q z).
+    """
 
     qexp: int
     zexp: tuple[int, ...]
@@ -350,18 +362,67 @@ class Atom:
         return (self.qexp, self.zexp)
 
 
-def _graded_key(term: tuple[int, tuple[int, ...]]):
-    qe, ze = term
-    return (qe + sum(ze), qe, ze)
+# Packed exponent keys.  A ZqPoly term q^{e_0} z_1^{e_1} .. z_n^{e_n} is keyed
+# by the int sum_i (e_i + _BIAS) << (_STRIDE * i): one 16-bit field per
+# variable, q in the lowest.  Exponents must lie in [-_BIAS, _BIAS), so the
+# top two bits of every field of a valid key are clear.  Adding a valid key
+# and an exponent vector in that range moves each field by less than 2**14
+# and never carries out of it; if some field leaves the range, the lowest such
+# field gets a top bit set, which _check_range detects.
+_STRIDE = 16
+_BIAS = 1 << 13
+_FIELD = (1 << _STRIDE) - 1
+
+
+class _Layout(NamedTuple):
+    bias: int  # the key of the zero exponent vector
+    guard: int  # the top two bits of every field
+    nbytes: int
+    unpack: Callable[[bytes], tuple[int, ...]]
+
+    def rows(self, keys: Iterable[int]) -> list[tuple[int, ...]]:
+        """Biased field values (e_0 + _BIAS, .., e_n + _BIAS) of each key."""
+        raw = map(int.to_bytes, keys, repeat(self.nbytes), repeat("little"))
+        return list(map(self.unpack, raw))
+
+
+@cache
+def _layout(n: int) -> _Layout:
+    ones = sum(1 << (_STRIDE * i) for i in range(n + 1))
+    return _Layout(
+        bias=_BIAS * ones,
+        guard=(_FIELD >> 2 ^ _FIELD) * ones,
+        nbytes=2 * (n + 1),
+        unpack=Struct(f"<{n + 1}H").unpack,
+    )
+
+
+def _offset(exps: Sequence[int]) -> int:
+    """The int d with key(e + exps) == key(e) + d."""
+    off = 0
+    for e in reversed(exps):
+        if not -_BIAS <= e < _BIAS:
+            raise OverflowError(f"exponent {e} outside [{-_BIAS}, {_BIAS})")
+        off = (off << _STRIDE) + e
+    return off
+
+
+def _check_range(keys: Iterable[int], n: int) -> None:
+    """Raise unless every key is a valid packed exponent vector."""
+    if reduce(or_, keys, 0) & _layout(n).guard:
+        raise OverflowError(f"exponent outside [{-_BIAS}, {_BIAS})")
 
 
 class ZqPoly:
     """Sparse integer polynomial in q and z_1..z_n (Laurent exponents allowed).
 
-    Terms map (qexp, zexp-tuple) -> nonzero integer coefficient.
+    Terms are stored as packed exponent key -> nonzero integer coefficient;
+    the constructor and items() speak ((qexp, zexp-tuple), coeff).
+    Exponents must lie in [-8192, 8192); an operation whose result leaves
+    that range raises OverflowError.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_terms")
 
     def __init__(
         self,
@@ -369,15 +430,26 @@ class ZqPoly:
         terms: Mapping[tuple[int, tuple[int, ...]], int] | Iterable = (),
     ):
         self.n = n
-        d: dict[tuple[int, tuple[int, ...]], int] = {}
+        bias = _layout(n).bias
+        d: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, c in items:
-            qe, ze = key
-            key = (qe, tuple(ze))
-            if len(key[1]) != n:
-                raise DimensionMismatch("z-exponent vector has wrong length")
-            d[key] = d.get(key, 0) + c
-        self.terms = _trimmed(d)
+        for (qe, ze), c in items:
+            k = bias + self._exps_offset(qe, ze)
+            d[k] = d.get(k, 0) + c
+        self._terms = _trimmed(d)
+
+    @staticmethod
+    def _of(n: int, terms: dict[int, int]) -> "ZqPoly":
+        out = ZqPoly.__new__(ZqPoly)
+        out.n = n
+        out._terms = terms
+        return out
+
+    def _exps_offset(self, qexp: int, zexp: Sequence[int]) -> int:
+        exps = (qexp, *zexp)
+        if len(exps) != self.n + 1:
+            raise DimensionMismatch("z-exponent vector has wrong length")
+        return _offset(exps)
 
     @staticmethod
     def zero(n: int) -> "ZqPoly":
@@ -392,129 +464,139 @@ class ZqPoly:
         return ZqPoly(n, {(qexp, tuple(zexp)): coeff})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def items(self) -> list[tuple[tuple[int, tuple[int, ...]], int]]:
         """Terms in graded-lexicographic order on (qexp, zexp)."""
-        return sorted(self.terms.items(), key=lambda kv: _graded_key(kv[0]))
+        rows = _layout(self.n).rows(self._terms)
+        out = []
+        for _, row, c in sorted(zip(map(sum, rows), rows, self._terms.values())):
+            qe, *ze = (v - _BIAS for v in row)
+            out.append(((qe, tuple(ze)), c))
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZqPoly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(self.items())))
+        return hash((self.n, frozenset(self._terms.items())))
 
     def _check(self, other: "ZqPoly"):
         if self.n != other.n:
             raise DimensionMismatch("z-variable counts differ")
 
     def __add__(self, other: "ZqPoly") -> "ZqPoly":
-        self._check(other)
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            d[k] = d.get(k, 0) + c
-        out = ZqPoly.__new__(ZqPoly)
-        out.n = self.n
-        out.terms = _trimmed(d)
-        return out
+        return ZqPoly.sum_of(self.n, (self, other))
+
+    @staticmethod
+    def sum_of(n: int, polys: Iterable["ZqPoly"]) -> "ZqPoly":
+        """The sum of polys, accumulated in one dict."""
+        d: dict[int, int] = {}
+        get = d.get
+        for p in polys:
+            if p.n != n:
+                raise DimensionMismatch("z-variable counts differ")
+            for k, c in p._terms.items():
+                s = get(k, 0) + c
+                if s:
+                    d[k] = s
+                else:
+                    del d[k]
+        return ZqPoly._of(n, d)
 
     def __neg__(self) -> "ZqPoly":
-        out = ZqPoly.__new__(ZqPoly)
-        out.n = self.n
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return ZqPoly._of(self.n, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "ZqPoly") -> "ZqPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "ZqPoly":
         if isinstance(other, int):
-            out = ZqPoly.__new__(ZqPoly)
-            out.n = self.n
-            out.terms = {} if other == 0 else {
-                k: c * other for k, c in self.terms.items()
-            }
-            return out
+            return ZqPoly._of(self.n, {} if other == 0 else {
+                k: c * other for k, c in self._terms.items()
+            })
         if not isinstance(other, ZqPoly):
             return NotImplemented
         self._check(other)
-        d: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (q1, z1), c1 in self.terms.items():
-            for (q2, z2), c2 in other.terms.items():
-                k = (q1 + q2, tuple(x + y for x, y in zip(z1, z2)))
+        bias = _layout(self.n).bias
+        d: dict[int, int] = {}
+        for k1, c1 in self._terms.items():
+            k1 -= bias
+            for k2, c2 in other._terms.items():
+                k = k1 + k2
                 d[k] = d.get(k, 0) + c1 * c2
-        out = ZqPoly.__new__(ZqPoly)
-        out.n = self.n
-        out.terms = _trimmed(d)
-        return out
+        _check_range(d, self.n)
+        return ZqPoly._of(self.n, _trimmed(d))
 
     __rmul__ = __mul__
 
+    def _shifted(self, off: int, coeff: int) -> "ZqPoly":
+        """coeff * self with every key moved by off."""
+        terms = {k + off: c * coeff for k, c in self._terms.items()}
+        _check_range(terms, self.n)
+        return ZqPoly._of(self.n, terms)
+
     def mul_monomial(self, qexp: int, zexp: Sequence[int], coeff: int = 1) -> "ZqPoly":
-        zexp = tuple(zexp)
-        out = ZqPoly.__new__(ZqPoly)
-        out.n = self.n
-        out.terms = {
-            (q + qexp, tuple(x + y for x, y in zip(z, zexp))): c * coeff
-            for (q, z), c in self.terms.items()
-        }
-        return out
+        return self._shifted(self._exps_offset(qexp, zexp), coeff)
 
     def mul_atom(self, atom: Atom) -> "ZqPoly":
         """Multiply by 1 - q^{atom.qexp} z^{atom.zexp}."""
-        return self - self.mul_monomial(atom.qexp, atom.zexp)
+        off = self._exps_offset(atom.qexp, atom.zexp)
+        terms = self._terms
+        _check_range(map(off.__add__, terms), self.n)
+        d = dict(terms)
+        get = d.get
+        for k, c in terms.items():
+            k += off
+            s = get(k, 0) - c
+            if s:
+                d[k] = s
+            else:
+                del d[k]
+        return ZqPoly._of(self.n, d)
 
     def div_atom(self, atom: Atom) -> Optional["ZqPoly"]:
-        """Exact quotient by 1 - q^b z^v, or None when not divisible.
+        """Exact quotient by 1 - m, m = q^b z^v, or None when not divisible.
 
-        Uses ascending reduction under the weight order induced by the atom's
-        exponent vector: the smallest surviving term of the remainder must be
-        a term of the quotient, since multiplying by the atom's monomial
-        strictly increases the weight.
+        The exponent lattice splits into lines t + Z*(b, v), and 1 - m acts
+        on each line on its own.  So self = (1 - m) * g exactly when self's
+        coefficients sum to zero on every line, and g's coefficient at each
+        position is the running sum of self's coefficients up to it.
+
+        A key's position is its field value where |m| is largest, floor
+        divided by m's exponent there; its line is named by the key at
+        position 0.  Two valid keys get the same name only when they lie on
+        one line, because the field-wise differences between them and the
+        steps along m that relate their names stay below
+        2**14 + (2**14 + 2**13) < 2**16, so no field can carry.
         """
-        if self.is_zero():
-            return ZqPoly.zero(self.n)
-        mvec = (atom.qexp,) + atom.zexp
-
-        def wkey(k):
-            q, z = k
-            vec = (q,) + z
-            return (sum(x * y for x, y in zip(vec, mvec)), vec)
-
-        # lazy-deletion min-heap over weight keys; every term present in rem
-        # has at least one live heap entry
-        rem = dict(self.terms)
-        heap = [(wkey(k), k) for k in rem]
-        heapify(heap)
-        max_key = max(key for key, _ in heap)
-        quo: dict[tuple[int, tuple[int, ...]], int] = {}
-        while rem:
-            key, t = heappop(heap)
-            if t not in rem:
-                continue  # stale entry for a cancelled term
-            if key > max_key:
-                return None
-            c = rem.pop(t)
-            quo[t] = quo.get(t, 0) + c
-            tm = (
-                t[0] + atom.qexp,
-                tuple(x + y for x, y in zip(t[1], atom.zexp)),
-            )
-            if tm in rem:
-                rem[tm] += c
-                if rem[tm] == 0:
-                    del rem[tm]
-            else:
-                rem[tm] = c
-                heappush(heap, (wkey(tm), tm))
-        return ZqPoly(self.n, _trimmed(quo))
+        exps = (atom.qexp, *atom.zexp)
+        off = self._exps_offset(atom.qexp, atom.zexp)
+        i = max(range(len(exps)), key=lambda j: abs(exps[j]))
+        shift, step = _STRIDE * i, exps[i]
+        terms = self._terms
+        names = [k - ((k >> shift) & _FIELD) // step * off for k in terms]
+        sums: dict[int, int] = {}
+        for name, c in zip(names, terms.values()):
+            sums[name] = sums.get(name, 0) + c
+        if any(sums.values()):
+            return None
+        # keys ascend along each line when off > 0 and descend otherwise
+        quo: dict[int, int] = {}
+        last: dict[int, tuple[int, int]] = {}
+        for k, name in sorted(zip(terms, names), reverse=off < 0):
+            prev, run = last.get(name, (k, 0))
+            if run:
+                quo.update(dict.fromkeys(range(prev, k, off), run))
+            last[name] = (k, run + terms[k])
+        return ZqPoly._of(self.n, quo)
 
     def content(self) -> int:
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
         g = 0
-        for c in self.terms.values():
+        for c in self._terms.values():
             g = gcd(g, abs(c))
         return g
 
@@ -524,29 +606,27 @@ class ZqPoly:
         (graded-lex greatest) coefficient."""
         if self.is_zero():
             return self, ZqMonomial.identity(self.n), 1
-        qmin = min(q for q, _ in self.terms)
-        zmin = tuple(
-            min(z[i] for _, z in self.terms) for i in range(self.n)
-        )
-        shifted = self.mul_monomial(-qmin, tuple(-m for m in zmin))
-        lead_key = max(shifted.terms, key=_graded_key)
-        sign = 1 if shifted.terms[lead_key] > 0 else -1
-        if sign < 0:
-            shifted = -shifted
-        return shifted, ZqMonomial(qmin, zmin), sign
+        rows = _layout(self.n).rows(self._terms)
+        lows = [min(col) for col in zip(*rows)]
+        lead = max(zip(map(sum, rows), rows, self._terms.values()))[2]
+        sign = 1 if lead > 0 else -1
+        qmin, *zmin = low = [v - _BIAS for v in lows]
+        return self._shifted(-_offset(low), sign), ZqMonomial(qmin, tuple(zmin)), sign
 
     def substitute_z(self, a: Sequence[int]) -> QPoly:
         """Apply z_i -> q^{a_i}; exact Laurent polynomial in q."""
         if len(a) != self.n:
             raise DimensionMismatch("substitution vector has wrong length")
+        weights = (1, *a)
+        zero = _BIAS * sum(weights)
         d: dict[int, int] = {}
-        for (q, z), c in self.terms.items():
-            e = q + sum(x * y for x, y in zip(z, a))
+        for row, c in zip(_layout(self.n).rows(self._terms), self._terms.values()):
+            e = sum(map(mul, row, weights)) - zero
             d[e] = d.get(e, 0) + c
-        return QPoly(_trimmed(d))
+        return QPoly(d)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for (q, z), c in self.items():
@@ -564,14 +644,6 @@ class ZqPoly:
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
     __repr__ = __str__
-
-
-def atom_trial_divide(numer: ZqPoly, atom: Atom) -> Optional[ZqPoly]:
-    return numer.div_atom(atom)
-
-
-def atom_poly(n: int, atom: Atom) -> ZqPoly:
-    return ZqPoly.one(n).mul_atom(atom)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qdyson import cli
 from qdyson.cli import (
     EXIT_INCONSISTENT,
     EXIT_MISMATCH,
@@ -87,6 +88,37 @@ class TestCoeffOutput:
         assert "term 1:" in out and "term 2:" in out
         assert "total terms: 2" in out
 
+    def test_split_bytes_without_combine(self, capsys, monkeypatch):
+        def no_combine(*args):
+            raise AssertionError("--split printed no combined R")
+
+        monkeypatch.setattr(cli, "combine_sum", no_combine)
+        _, out, _ = run(
+            capsys, "coeff", "--delta", "1,-1,0", "--shift", "zero", "--split"
+        )
+        assert out == (
+            "delta: [1, -1, 0]\nshift: [0, 0, 0]\n"
+            "term 1: pi=[1, 2, 3] m=[0, 0, 0] R_k = -z1 * (-1 + z3) / ((1 - q*z2*z3))\n"
+            "term 2: pi=[2, 3, 1] m=[0, 0, 0] R_k = (-1 + z1*z3) / ((1 - q*z2*z3))\n"
+            "total terms: 2\n"
+        )
+        _, out, _ = run(
+            capsys, "coeff", "--delta", "1,-1,0", "--shift", "zero", "--split",
+            "--format", "json",
+        )
+        assert out == (
+            '{"terms":[{"point":{"pi":[1,2,3],"m":[0,0,0],"alpha":['
+            '{"c0":0,"a":[0,0,0]},{"c0":0,"a":[1,0,0]},{"c0":0,"a":[1,1,0]}]},'
+            '"formula":{"sign":-1,"unit":{"q":0,"z":[1,0,0]},"numer":['
+            '{"q":0,"z":[0,0,0],"c":-1},{"q":0,"z":[0,0,1],"c":1}],"denom":['
+            '{"q":1,"z":[0,1,1],"mult":1}]}},{"point":{"pi":[2,3,1],"m":[0,0,0],'
+            '"alpha":[{"c0":1,"a":[0,1,1]},{"c0":0,"a":[0,0,0]},{"c0":0,"a":[0,1,0]}]},'
+            '"formula":{"sign":1,"unit":{"q":0,"z":[0,0,0]},"numer":['
+            '{"q":0,"z":[0,0,0],"c":-1},{"q":0,"z":[1,0,1],"c":1}],"denom":['
+            '{"q":1,"z":[0,1,1],"mult":1}]}}],'
+            '"meta":{"delta":[1,-1,0],"shift":[0,0,0],"points":2}}\n'
+        )
+
     def test_latex_format(self, capsys):
         _, out, _ = run(
             capsys, "coeff", "--delta", "1,-1", "--shift", "zero",
@@ -104,6 +136,30 @@ class TestCoeffOutput:
         code, out, _ = run(capsys, "coeff", "--delta", "1,-1", "--shift", "0,1")
         assert code == EXIT_OK
         assert "shift: [0, 1]" in out
+
+
+class TestNegativeVectors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeff", "--delta", "-2,1,1", "--shift", "zero"),
+            ("coeff", "--delta", "-1,0,1", "--shift", "-1,0,1", "--format", "json"),
+            ("best-shift", "--delta", "-1,1"),
+            ("verify", "--delta", "-1,1", "--a", "1,2"),
+            ("verify", "--delta", "1,-1", "--a", "-1,2"),
+            ("article", "--delta", "-1,1"),
+        ],
+    )
+    def test_leading_minus_spellings_agree(self, capsys, argv):
+        joined = []
+        for i, arg in enumerate(argv):
+            if i > 0 and argv[i - 1] in ("--delta", "--shift", "--a"):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == run(capsys, *joined)
+        assert "expected one argument" not in err
 
 
 class TestJson:

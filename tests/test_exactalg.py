@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdyson.cli import dumps_canonical, formula_json
 from qdyson.errors import DenominatorVanishes, DimensionMismatch
 from qdyson.exactalg import (
     Atom,
@@ -14,7 +15,6 @@ from qdyson.exactalg import (
     RationalQZ,
     ZqMonomial,
     ZqPoly,
-    atom_trial_divide,
     equal_as_rational,
     substitute_z,
 )
@@ -131,16 +131,16 @@ class TestZqPoly:
     def test_atom_trial_divide_quotient(self):
         # 1 - q^2 z1^2 = (1 - q z1)(1 + q z1)
         n1 = ZqPoly(1, {(0, (0,)): 1, (2, (2,)): -1})
-        quo = atom_trial_divide(n1, Atom(1, (1,)))
+        quo = n1.div_atom(Atom(1, (1,)))
         assert quo == ZqPoly(1, {(0, (0,)): 1, (1, (1,)): 1})
 
     def test_atom_trial_divide_self(self):
         n1 = ZqPoly(1, {(0, (0,)): 1, (1, (1,)): -1})
-        assert atom_trial_divide(n1, Atom(1, (1,))) == ZqPoly.one(1)
+        assert n1.div_atom(Atom(1, (1,))) == ZqPoly.one(1)
 
     def test_atom_trial_divide_fails(self):
         n1 = ZqPoly(1, {(0, (0,)): 1, (1, (1,)): 1})  # 1 + q z1
-        assert atom_trial_divide(n1, Atom(1, (1,))) is None
+        assert n1.div_atom(Atom(1, (1,))) is None
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -168,6 +168,116 @@ class TestZqPoly:
     def test_atom_invariant(self):
         with pytest.raises(ValueError):
             Atom(0, (0, 0))
+
+
+@st.composite
+def poly_and_atom(draw):
+    """A sparse Laurent ZqPoly in n <= 3 z-variables and an atom whose
+    exponents may be negative or have q-exponent 0."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(st.integers(-6, 6), st.tuples(*[st.integers(-6, 6)] * n))
+    poly = ZqPoly(n, draw(st.dictionaries(exps, st.integers(-5, 5), max_size=6)))
+    vec = draw(st.tuples(*[st.integers(-3, 3)] * (n + 1)).filter(any))
+    return poly, Atom(vec[0], vec[1:])
+
+
+def graded(kv):
+    (qe, ze), _ = kv
+    return (qe + sum(ze), qe, ze)
+
+
+class TestPackedZqPoly:
+    @settings(max_examples=150, deadline=None)
+    @given(poly_and_atom())
+    def test_product_divides(self, pa):
+        poly, atom = pa
+        assert poly.mul_atom(atom).div_atom(atom) == poly
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly_and_atom(), st.integers(1, 3), st.booleans())
+    def test_quotient_multiplies_back(self, pa, power, divisible):
+        poly, atom = pa
+        if divisible:
+            # 1 - m divides 1 - m^power: the quotient fills whole line segments
+            power_atom = Atom(atom.qexp * power, tuple(v * power for v in atom.zexp))
+            poly = poly.mul_atom(power_atom)
+        quo = poly.div_atom(atom)
+        assert quo is not None or not divisible
+        if quo is not None:
+            assert quo.mul_atom(atom) == poly
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly_and_atom(), st.integers(-6, 6), st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+    def test_extra_monomial_is_not_divisible(self, pa, qexp, zexp):
+        poly, atom = pa
+        spoiled = poly.mul_atom(atom) + ZqPoly.monomial(poly.n, qexp, zexp[: poly.n])
+        assert spoiled.div_atom(atom) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_and_atom())
+    def test_items_graded_order(self, pa):
+        poly, _ = pa
+        assert poly.items() == sorted(poly.items(), key=graded)
+        assert ZqPoly(poly.n, poly.items()) == poly
+
+    def test_items_match_tuple_keys(self):
+        terms = {
+            (1, (0, -1, 2)): 1,
+            (0, (2, 0, 0)): -3,
+            (-1, (0, 0, 3)): 5,
+            (2, (-2, 0, 0)): 7,
+            (0, (0, 0, 0)): 1,
+        }
+        assert ZqPoly(3, terms).items() == [
+            ((0, (0, 0, 0)), 1),
+            ((2, (-2, 0, 0)), 7),
+            ((-1, (0, 0, 3)), 5),
+            ((0, (2, 0, 0)), -3),
+            ((1, (0, -1, 2)), 1),
+        ]
+
+    def test_formula_bytes_match_tuple_keys(self):
+        r = RationalQZ.make(
+            -1,
+            ZqMonomial(1, (0, -2)),
+            ZqPoly(2, {(3, (-1, 2)): 2, (0, (0, 0)): -4, (-2, (1, 1)): 6, (1, (0, -1)): -2}),
+            Counter({Atom(0, (1, -1)): 2, Atom(2, (0, 0)): 1}),
+        )
+        assert dumps_canonical(formula_json(r)) == (
+            '{"sign":-1,"unit":{"q":-1,"z":[-1,-3]},"numer":['
+            '{"q":0,"z":[2,2],"c":6},{"q":2,"z":[1,1],"c":-4},'
+            '{"q":3,"z":[1,0],"c":-2},{"q":5,"z":[0,3],"c":2}],"denom":['
+            '{"q":0,"z":[1,-1],"mult":2},{"q":2,"z":[0,0],"mult":1}]}\n'
+        )
+
+    def test_far_apart_lines_stay_apart(self):
+        # The keys of q^-4096 z2^-1 and 1 differ by -4096 steps of q z1^16 as
+        # ints; positions read from the q field would put them on one line.
+        poly = ZqPoly(2, {(-4096, (0, -1)): 1, (0, (0, 0)): -1})
+        assert poly.div_atom(Atom(1, (16, 0))) is None
+
+    def test_range_limits(self):
+        ok = ZqPoly(2, {(-8192, (8191, 0)): 1})
+        assert ok.items() == [((-8192, (8191, 0)), 1)]
+        for bad in ((8192, (0, 0)), (0, (-8193, 0)), (0, (0, 8192))):
+            with pytest.raises(OverflowError):
+                ZqPoly(2, {bad: 1})
+
+    def test_out_of_range_raises_not_wraps(self):
+        top = ZqPoly(2, {(0, (8191, 0)): 1})
+        with pytest.raises(OverflowError):  # z1 would carry into z2
+            top.mul_monomial(0, (1, 0))
+        with pytest.raises(OverflowError):
+            top.mul_atom(Atom(0, (1, 0)))
+        bottom = ZqPoly(2, {(-8192, (0, 0)): 1})
+        with pytest.raises(OverflowError):  # q would borrow from z1
+            bottom.mul_monomial(-1, (0, 0))
+        with pytest.raises(OverflowError):
+            ZqPoly(1, {(5000, (0,)): 1}) * ZqPoly(1, {(5000, (0,)): 1})
+        with pytest.raises(OverflowError):  # shifting the minimum to 0
+            ZqPoly(1, {(-8000, (0,)): 1, (8000, (0,)): 1}).extract_unit()
+        with pytest.raises(OverflowError):
+            top.mul_monomial(0, (0, 8192))
 
 
 class TestSubstituteZ:
