@@ -14,6 +14,7 @@ from .engine import (
     SplitResult,
     coefficient_combined,
     coefficient_split,
+    combine,
     combine_sum,
     constant_term_identity,
     equivalent,
@@ -32,13 +33,10 @@ from .exactalg import (
     Atom,
     LaurentPoly,
     QPoly,
-    Rational,
     RationalQZ,
     ZqMonomial,
     ZqPoly,
     equal_as_rational,
-    laurent_coefficient,
-    laurent_mul,
     substitute_z,
 )
 from .latticepoints import (
@@ -75,10 +73,8 @@ from .symforms import (
     ParityForm,
     QuadForm,
     SignClass,
-    generic_sign,
     parity_reduce,
     quad_finalize,
-    substitute_affine,
 )
 
 __version__ = "0.1.0"

@@ -18,13 +18,13 @@ from .engine import (
     SplitResult,
     coefficient_combined,
     coefficient_split,
-    combine_sum,
+    combine,
     constant_term_identity,
     equivalent,
 )
 from .errors import InternalInconsistency, UsageError
 from .exactalg import Atom, QPoly, RationalQZ, ZqMonomial, ZqPoly
-from .latticepoints import best_shift, enumerate_evaluation_set
+from .latticepoints import best_shift
 from .oracle import (
     SweepConfig,
     VerificationReport,
@@ -32,7 +32,6 @@ from .oracle import (
     sweep,
     verify_query,
 )
-from .qpochhammer import q_multinomial_numeric
 from .symforms import AffineForm
 
 EXIT_OK = 0
@@ -42,72 +41,6 @@ EXIT_MISMATCH = 3
 
 
 # ---------------------------------------------------------------- rendering
-
-
-def _mono_str(qexp: int, zexp: Sequence[int], latex: bool) -> str:
-    factors = []
-    if qexp:
-        if latex:
-            factors.append("q" if qexp == 1 else f"q^{{{qexp}}}")
-        else:
-            factors.append("q" if qexp == 1 else f"q^{qexp}")
-    for i, e in enumerate(zexp):
-        if not e:
-            continue
-        if latex:
-            base = f"z_{{{i + 1}}}"
-            factors.append(base if e == 1 else f"{base}^{{{e}}}")
-        else:
-            base = f"z{i + 1}"
-            factors.append(base if e == 1 else f"{base}^{e}")
-    if not factors:
-        return "1"
-    return (" " if latex else "*").join(factors)
-
-
-def _zqpoly_str(poly: ZqPoly, latex: bool) -> str:
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for (qe, ze), c in poly.items():
-        mono = _mono_str(qe, ze, latex)
-        if mono == "1":
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}{' ' if latex else '*'}{mono}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    out = " ".join(parts)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-
-def _atom_str(atom: Atom, mult: int, latex: bool) -> str:
-    body = f"1 - {_mono_str(atom.qexp, atom.zexp, latex)}"
-    if latex:
-        return f"\\left({body}\\right)" + (f"^{{{mult}}}" if mult > 1 else "")
-    return f"({body})" + (f"^{mult}" if mult > 1 else "")
-
-
-def render_rational(r: RationalQZ, latex: bool = False) -> str:
-    """Human-readable sign * unit * numer / atoms form."""
-    if r.is_zero():
-        return "0"
-    sign = "-" if r.sign < 0 else ""
-    unit = _mono_str(r.unit.qexp, r.unit.zexp, latex)
-    numer = _zqpoly_str(r.numer, latex)
-    num_parts = []
-    if unit != "1":
-        num_parts.append(unit)
-    if numer != "1" or not num_parts:
-        num_parts.append(numer if len(numer.split()) == 1 else f"({numer})")
-    num = (" " if latex else " * ").join(num_parts)
-    if not r.denom:
-        return f"{sign}{num}"
-    den = " ".join(_atom_str(a, m, latex) for a, m in r.denom)
-    if latex:
-        return f"{sign}\\frac{{{num}}}{{{den}}}"
-    return f"{sign}{num} / ({den})"
 
 
 def render_multinomial(n: int, latex: bool = False) -> str:
@@ -296,49 +229,65 @@ def _emit(body: str, out_path: str | None) -> None:
         sys.stdout.write(body)
 
 
-def _check_delta(delta: tuple[int, ...]) -> None:
-    if len(delta) < 1:
-        raise UsageError("--delta must be nonempty")
-
-
-def _formula_text(result: CombinedResult, latex: bool) -> str:
-    n = len(result.delta)
+def _combined_body(result: CombinedResult, fmt: str) -> str:
+    """A combined result as text, LaTeX, or canonical JSON with meta."""
+    if fmt == "json":
+        meta = {
+            "delta": list(result.delta),
+            "shift": list(result.shift_used),
+            "points": result.point_count,
+        }
+        return dumps_canonical(formula_json(result.rational, meta))
+    latex = fmt == "latex"
     lines = [
         f"delta: {list(result.delta)}",
         f"shift: {list(result.shift_used)}",
         f"points: {result.point_count}",
-        f"R = {render_rational(result.rational, latex)}",
-        f"coefficient = R * {render_multinomial(n, latex)}",
+        f"R = {result.rational.render(latex)}",
+        f"coefficient = R * {render_multinomial(len(result.delta), latex)}",
     ]
     return "\n".join(lines) + "\n"
 
 
+def _cross_check_failure(
+    query: CoefficientQuery, split: SplitResult, result: CombinedResult
+) -> tuple[int, ...] | None:
+    """The first other shift whose R differs from result's, or None.
+
+    Each distinct shift is split and combined once; the query's own shift
+    is not repeated.
+    """
+    n = query.n
+    if query.shift == "best":
+        best = split.shift_used
+    else:
+        best = best_shift(query.delta, query.radius)[0]
+    done = {split.shift_used}
+    for alt in ((0,) * n, best, (1,) * n, (0,) + (1,) * (n - 1)):
+        if alt in done:
+            continue
+        done.add(alt)
+        other = coefficient_combined(CoefficientQuery(delta=query.delta, shift=alt))
+        if not equivalent(result.rational, other.rational):
+            return alt
+    return None
+
+
 def cmd_coeff(args) -> int:
     delta = parse_int_vector(args.delta, "delta")
-    _check_delta(delta)
-    n = len(delta)
-    shift = parse_shift(args.shift, n)
+    shift = parse_shift(args.shift, len(delta))
     note = ""
     if sum(delta) != 0:
         note = "note: delta does not sum to zero; the coefficient is 0\n"
     query = CoefficientQuery(delta=delta, shift=shift, radius=args.radius)
     split = coefficient_split(query)
     if not args.split or args.cross_check_shifts:
-        result = CombinedResult(
-            rational=combine_sum([r for _, r in split.terms], n),
-            shift_used=split.shift_used,
-            point_count=len(split.terms),
-            delta=delta,
-        )
+        result = combine(split)
     if args.cross_check_shifts and sum(delta) == 0:
-        alternates = ["zero", "best", (1,) * n, (0,) + (1,) * (n - 1)]
-        for alt in alternates:
-            other = coefficient_combined(CoefficientQuery(delta=delta, shift=alt))
-            if not equivalent(result.rational, other.rational):
-                _emit(
-                    f"shift cross-check failed under shift {alt}\n", args.out
-                )
-                return EXIT_MISMATCH
+        failed = _cross_check_failure(query, split, result)
+        if failed is not None:
+            _emit(f"shift cross-check failed under shift {list(failed)}\n", args.out)
+            return EXIT_MISMATCH
     if args.split:
         if args.format == "json":
             body = dumps_canonical(split_json(split))
@@ -348,19 +297,14 @@ def cmd_coeff(args) -> int:
             for k, (pt, r) in enumerate(split.terms):
                 lines.append(
                     f"term {k + 1}: pi={list(pt.pi)} m={list(pt.m)} "
-                    f"R_k = {render_rational(r, latex)}"
+                    f"R_k = {r.render(latex)}"
                 )
             lines.append(f"total terms: {len(split.terms)}")
             body = note + "\n".join(lines) + "\n"
-    elif args.format == "json":
-        meta = {
-            "delta": list(delta),
-            "shift": list(result.shift_used),
-            "points": result.point_count,
-        }
-        body = dumps_canonical(formula_json(result.rational, meta))
     else:
-        body = note + _formula_text(result, latex=args.format == "latex")
+        body = _combined_body(result, args.format)
+        if args.format != "json":
+            body = note + body
     _emit(body, args.out)
     return EXIT_OK
 
@@ -368,23 +312,12 @@ def cmd_coeff(args) -> int:
 def cmd_constant_term(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be a positive integer")
-    result = constant_term_identity(args.n)
-    if args.format == "json":
-        meta = {
-            "delta": list(result.delta),
-            "shift": list(result.shift_used),
-            "points": result.point_count,
-        }
-        body = dumps_canonical(formula_json(result.rational, meta))
-    else:
-        body = _formula_text(result, latex=args.format == "latex")
-    _emit(body, args.out)
+    _emit(_combined_body(constant_term_identity(args.n), args.format), args.out)
     return EXIT_OK
 
 
 def cmd_best_shift(args) -> int:
     delta = parse_int_vector(args.delta, "delta")
-    _check_delta(delta)
     if sum(delta) != 0:
         raise UsageError("--delta must sum to zero for best-shift")
     shift, size = best_shift(delta, args.radius)
@@ -400,7 +333,6 @@ def cmd_best_shift(args) -> int:
 
 def cmd_verify(args) -> int:
     delta = parse_int_vector(args.delta, "delta")
-    _check_delta(delta)
     a = parse_int_vector(args.a, "a")
     if len(a) != len(delta):
         raise UsageError("--a must have the same length as --delta")
@@ -457,16 +389,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_article(args) -> int:
     delta = parse_int_vector(args.delta, "delta")
-    _check_delta(delta)
     n = len(delta)
     if sum(delta) != 0:
         raise UsageError("--delta must sum to zero for article output")
     shift = parse_shift(args.shift, n)
     latex = args.format == "latex"
-    query = CoefficientQuery(delta=delta, shift=shift, radius=args.radius)
-    split = coefficient_split(query)
-    result = coefficient_combined(query)
-    evalset = enumerate_evaluation_set(delta, split.shift_used)
+    split = coefficient_split(
+        CoefficientQuery(delta=delta, shift=shift, radius=args.radius)
+    )
+    result = combine(split)
 
     lines = []
     lines.append("Theorem.")
@@ -476,16 +407,16 @@ def cmd_article(args) -> int:
         + " in the q-Dyson product in "
         + f"{n} variables equals R * {render_multinomial(n, latex)}, where"
     )
-    lines.append(f"  R = {render_rational(result.rational, latex)}")
+    lines.append(f"  R = {result.rational.render(latex)}")
     lines.append("")
     lines.append(f"Evaluation set (shift {list(split.shift_used)}):")
-    for k, pt in enumerate(evalset.points):
+    for k, (pt, _) in enumerate(split.terms):
         alpha = ", ".join(str(f) for f in pt.alpha)
         lines.append(f"  point {k + 1}: pi={list(pt.pi)} m={list(pt.m)} alpha=({alpha})")
     lines.append("")
     lines.append("Per-point rational summands:")
-    for k, (pt, r) in enumerate(split.terms):
-        lines.append(f"  R_{k + 1} = {render_rational(r, latex)}")
+    for k, (_, r) in enumerate(split.terms):
+        lines.append(f"  R_{k + 1} = {r.render(latex)}")
     lines.append("")
     lines.append("Verification appendix:")
     for sample in ((1,) * n, (2,) * n):

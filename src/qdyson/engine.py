@@ -3,8 +3,9 @@
 For a target exponent vector delta (summing to zero), the coefficient of
 prod x_i^{delta_i} in the q-Dyson product equals R(q, q^{a_1},..,q^{a_n})
 times the q-multinomial coefficient.  Each evaluation point contributes one
-simple rational summand (the split form); adding them over a common atom
-denominator gives the combined form.
+simple rational summand (the split form, ``coefficient_split``); ``combine``
+adds them over a common atom denominator (the combined form).  Callers run
+the pipeline only through these two functions.
 """
 
 from __future__ import annotations
@@ -119,17 +120,19 @@ def combine_sum(terms: Sequence[RationalQZ], n: int) -> RationalQZ:
     return RationalQZ.make(1, RationalQZ.one(n).unit, total, lcm)
 
 
-def coefficient_combined(query: CoefficientQuery) -> CombinedResult:
-    """The single rational function R for the queried coefficient."""
-    split = coefficient_split(query)
-    n = query.n
-    combined = combine_sum([r for _, r in split.terms], n)
+def combine(split: SplitResult) -> CombinedResult:
+    """Add the split's summands into the single rational function R."""
     return CombinedResult(
-        rational=combined,
+        rational=combine_sum([r for _, r in split.terms], len(split.delta)),
         shift_used=split.shift_used,
         point_count=len(split.terms),
-        delta=query.delta,
+        delta=split.delta,
     )
+
+
+def coefficient_combined(query: CoefficientQuery) -> CombinedResult:
+    """The single rational function R for the queried coefficient."""
+    return combine(coefficient_split(query))
 
 
 def constant_term_identity(n: int) -> CombinedResult:

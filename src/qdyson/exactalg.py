@@ -16,24 +16,21 @@ Four sparse representations, all immutable in practice:
 * ``RationalQZ`` -- sign * monomial * polynomial over a multiset of
   denominator atoms 1 - q^c * z^v, never expanded.
 
-The exact ground field for the interpolation oracle is ``fractions.Fraction``.
+Each of ``ZqPoly`` and ``RationalQZ`` renders itself as text (``str``) or
+LaTeX (``render(latex=True)``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, reduce
 from itertools import repeat
-from math import gcd
 from operator import mul, or_
 from struct import Struct
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import DenominatorVanishes, DimensionMismatch, InternalInconsistency
-
-Rational = Fraction
+from .errors import DenominatorVanishes, DimensionMismatch
 
 
 def _trimmed(d: dict) -> dict:
@@ -314,12 +311,25 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def laurent_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
-def laurent_coefficient(p: LaurentPoly, kappa: Sequence[int]) -> QPoly:
-    return p.coefficient(kappa)
+def _mono_str(qexp: int, zexp: Sequence[int], latex: bool) -> str:
+    factors = []
+    if qexp:
+        if latex:
+            factors.append("q" if qexp == 1 else f"q^{{{qexp}}}")
+        else:
+            factors.append("q" if qexp == 1 else f"q^{qexp}")
+    for i, e in enumerate(zexp):
+        if not e:
+            continue
+        if latex:
+            base = f"z_{{{i + 1}}}"
+            factors.append(base if e == 1 else f"{base}^{{{e}}}")
+        else:
+            base = f"z{i + 1}"
+            factors.append(base if e == 1 else f"{base}^{e}")
+    if not factors:
+        return "1"
+    return (" " if latex else "*").join(factors)
 
 
 @dataclass(frozen=True)
@@ -339,9 +349,6 @@ class ZqMonomial:
             tuple(x + y for x, y in zip(self.zexp, other.zexp)),
         )
 
-    def is_identity(self) -> bool:
-        return self.qexp == 0 and not any(self.zexp)
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -360,6 +367,13 @@ class Atom:
 
     def sort_key(self):
         return (self.qexp, self.zexp)
+
+
+def _atom_str(atom: Atom, mult: int, latex: bool) -> str:
+    body = f"1 - {_mono_str(atom.qexp, atom.zexp, latex)}"
+    if latex:
+        return f"\\left({body}\\right)" + (f"^{{{mult}}}" if mult > 1 else "")
+    return f"({body})" + (f"^{mult}" if mult > 1 else "")
 
 
 # Packed exponent keys.  A ZqPoly term q^{e_0} z_1^{e_1} .. z_n^{e_n} is keyed
@@ -593,13 +607,6 @@ class ZqPoly:
             last[name] = (k, run + terms[k])
         return ZqPoly._of(self.n, quo)
 
-    def content(self) -> int:
-        """Positive gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._terms.values():
-            g = gcd(g, abs(c))
-        return g
-
     def extract_unit(self) -> tuple["ZqPoly", ZqMonomial, int]:
         """Factor self = sign * monomial * reduced with the reduced polynomial
         having exponent minima 0 in every coordinate and a positive leading
@@ -625,25 +632,24 @@ class ZqPoly:
             d[e] = d.get(e, 0) + c
         return QPoly(d)
 
-    def __str__(self) -> str:
-        if not self._terms:
+    def render(self, latex: bool = False) -> str:
+        """Signed sum of the terms in graded-lex order, as text or LaTeX."""
+        if self.is_zero():
             return "0"
         parts = []
-        for (q, z), c in self.items():
-            factors = []
-            if abs(c) != 1 or (q == 0 and not any(z)):
-                factors.append(str(abs(c)))
-            if q:
-                factors.append(f"q^{q}" if q != 1 else "q")
-            for i, e in enumerate(z):
-                if e:
-                    factors.append(f"z{i + 1}^{e}" if e != 1 else f"z{i + 1}")
-            mono = "*".join(factors)
-            parts.append(("- " if c < 0 else "+ ") + mono)
+        for (qe, ze), c in self.items():
+            mono = _mono_str(qe, ze, latex)
+            if mono == "1":
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = mono
+            else:
+                body = f"{abs(c)}{' ' if latex else '*'}{mono}"
+            parts.append(("- " if c < 0 else "+ ") + body)
         out = " ".join(parts)
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
-    __repr__ = __str__
+    __str__ = __repr__ = render
 
 
 @dataclass(frozen=True)
@@ -726,6 +732,28 @@ class RationalQZ:
             for _ in range(mult):
                 poly = poly.mul_atom(atom)
         return poly
+
+    def render(self, latex: bool = False) -> str:
+        """Human-readable sign * unit * numer / atoms form."""
+        if self.is_zero():
+            return "0"
+        sign = "-" if self.sign < 0 else ""
+        unit = _mono_str(self.unit.qexp, self.unit.zexp, latex)
+        numer = self.numer.render(latex)
+        num_parts = []
+        if unit != "1":
+            num_parts.append(unit)
+        if numer != "1" or not num_parts:
+            num_parts.append(numer if len(numer.split()) == 1 else f"({numer})")
+        num = (" " if latex else " * ").join(num_parts)
+        if not self.denom:
+            return f"{sign}{num}"
+        den = " ".join(_atom_str(a, m, latex) for a, m in self.denom)
+        if latex:
+            return f"{sign}\\frac{{{num}}}{{{den}}}"
+        return f"{sign}{num} / ({den})"
+
+    __str__ = render
 
 
 def substitute_z(r: RationalQZ, a: Sequence[int]) -> tuple[QPoly, QPoly]:

@@ -15,7 +15,7 @@ from itertools import permutations, product
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .errors import DuplicatePoint
+from .errors import DuplicatePoint, UsageError
 from .qpochhammer import GridSpec
 from .symforms import AffineForm
 
@@ -159,7 +159,7 @@ def best_shift(
     if radius is None:
         radius = default_radius(delta)
     if radius < 1:
-        raise ValueError("radius must be positive")
+        raise UsageError("radius must be positive")
     def key(c):
         return tuple((abs(x), x) for x in c)
 

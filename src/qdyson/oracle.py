@@ -13,13 +13,14 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from math import prod
+from typing import Mapping, Sequence
 
 from .engine import CoefficientQuery, ShiftPolicy, coefficient_combined
-from .errors import DuplicateNode, QDysonError
+from .errors import DuplicateNode, QDysonError, UsageError
 from .exactalg import (
     LaurentPoly,
     QPoly,
@@ -154,7 +155,7 @@ def grid_coefficient_oracle(
 
     phi_prime = [
         {
-            c: _prod(c - other for other in g if other != c)
+            c: prod(c - other for other in g if other != c)
             for c in g
         }
         for g in grids
@@ -175,13 +176,6 @@ def grid_coefficient_oracle(
     return total
 
 
-def _prod(values: Iterable[Fraction]) -> Fraction:
-    out = Fraction(1)
-    for v in values:
-        out *= v
-    return out
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Bounds for an exhaustive engine-vs-oracle sweep (desk scale)."""
@@ -194,8 +188,10 @@ class SweepConfig:
     include_unbalanced: bool = False
 
     def __post_init__(self):
+        if min(self.n_range) < 1 or self.a_max < 1 or self.delta_budget < 0:
+            raise UsageError("sweep needs n >= 1, a_max >= 1 and delta_budget >= 0")
         if max(self.n_range) > 4 or self.a_max > 3:
-            raise ValueError("sweep bounds exceed desk scale (n <= 4, a <= 3)")
+            raise UsageError("sweep bounds exceed desk scale (n <= 4, a <= 3)")
 
 
 def zero_sum_deltas(n: int, budget: int) -> list[tuple[int, ...]]:

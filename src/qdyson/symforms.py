@@ -129,14 +129,6 @@ class AffineForm:
         return out
 
 
-def generic_sign(form: AffineForm) -> SignClass:
-    return form.generic_sign()
-
-
-def substitute_affine(form: AffineForm, a: Sequence[int]) -> int:
-    return form.evaluate(a)
-
-
 @dataclass(frozen=True)
 class ParityForm:
     """Mod-2 affine form; tracks the exponent of (-1)."""
@@ -161,11 +153,6 @@ class ParityForm:
             (self.constant + other.constant) % 2,
             tuple((x + y) % 2 for x, y in zip(self.coeffs, other.coeffs)),
         )
-
-    def scale(self, k: int) -> "ParityForm":
-        if k % 2 == 0:
-            return ParityForm.zero(len(self.coeffs))
-        return self
 
     def evaluate(self, a: Sequence[int]) -> int:
         return (self.constant + sum(c * v for c, v in zip(self.coeffs, a))) % 2

@@ -4,19 +4,26 @@ import json
 
 import pytest
 
-from qdyson import cli
+from qdyson import cli, engine
 from qdyson.cli import (
     EXIT_INCONSISTENT,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     dumps_canonical,
     formula_from_json,
     formula_json,
-    render_rational,
+    parse_int_vector,
+    parse_shift,
     run_command,
 )
-from qdyson.engine import CoefficientQuery, coefficient_combined, equivalent
+from qdyson.engine import (
+    CoefficientQuery,
+    coefficient_combined,
+    coefficient_split,
+    equivalent,
+)
 
 
 def run(capsys, *argv):
@@ -68,6 +75,24 @@ class TestExitCodes:
         code, _, _ = run(capsys, "constant-term", "--n", "0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--n", "5"),
+            ("sweep", "--n", "0"),
+            ("sweep", "--n", "2", "--a-max", "0"),
+            ("sweep", "--n", "2", "--delta-budget", "-1"),
+            ("coeff", "--delta", "1,-1", "--radius", "0"),
+            ("best-shift", "--delta", "1,-1", "--radius", "0"),
+            ("article", "--delta", "1,-1", "--radius", "0"),
+        ],
+    )
+    def test_out_of_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err
+
 
 class TestCoeffOutput:
     def test_unbalanced_note(self, capsys):
@@ -92,7 +117,7 @@ class TestCoeffOutput:
         def no_combine(*args):
             raise AssertionError("--split printed no combined R")
 
-        monkeypatch.setattr(cli, "combine_sum", no_combine)
+        monkeypatch.setattr(engine, "combine_sum", no_combine)
         _, out, _ = run(
             capsys, "coeff", "--delta", "1,-1,0", "--shift", "zero", "--split"
         )
@@ -220,8 +245,9 @@ class TestSweepCommand:
         assert obj["total"] == len(obj["reports"]) > 0
 
     def test_desk_scale_rejected(self, capsys):
-        with pytest.raises(ValueError):
-            run(capsys, "sweep", "--n", "5")
+        code, _, err = run(capsys, "sweep", "--n", "5")
+        assert code == EXIT_USAGE
+        assert "usage error" in err
 
 
 class TestArticle:
@@ -255,9 +281,183 @@ class TestOutFile:
         assert obj["denom"] and obj["numer"]
 
 
+# Output bytes of the renderers, pinned on a numerator with many terms, a
+# non-trivial unit monomial, negative exponents and a repeated atom.
+PINNED_COEFF = [
+    (
+        ("coeff", "--delta", "1,-1", "--shift", "zero"),
+        "delta: [1, -1]\n"
+        "shift: [0, 0]\n"
+        "points: 1\n"
+        "R = (-1 + z1) / ((1 - q*z2))\n"
+        "coefficient = R * qMultinomial(a1,a2)\n",
+        "delta: [1, -1]\n"
+        "shift: [0, 0]\n"
+        "points: 1\n"
+        "R = \\frac{(-1 + z_{1})}{\\left(1 - q z_{2}\\right)}\n"
+        "coefficient = R * \\frac{(q)_{a_{1}+a_{2}}}{(q)_{a_{1}} (q)_{a_{2}}}\n",
+    ),
+    (
+        ("coeff", "--delta", "-2,1,1"),
+        "delta: [-2, 1, 1]\n"
+        "shift: [0, -2, -2]\n"
+        "points: 2\n"
+        "R = -q^2 * (-1 + z2 + z3^2 - z2*z3^2 + q*z1*z3 - q*z1*z3^2 - q*z1*z2^2*z3"
+        " + q*z1*z2^2*z3^2) / ((1 - q*z1) (1 - q*z1*z3) (1 - q*z1*z2))\n"
+        "coefficient = R * qMultinomial(a1,a2,a3)\n",
+        "delta: [-2, 1, 1]\n"
+        "shift: [0, -2, -2]\n"
+        "points: 2\n"
+        "R = -\\frac{q^{2} (-1 + z_{2} + z_{3}^{2} - z_{2} z_{3}^{2} + q z_{1} z_{3}"
+        " - q z_{1} z_{3}^{2} - q z_{1} z_{2}^{2} z_{3} + q z_{1} z_{2}^{2} z_{3}^{2})}"
+        "{\\left(1 - q z_{1}\\right) \\left(1 - q z_{1} z_{3}\\right)"
+        " \\left(1 - q z_{1} z_{2}\\right)}\n"
+        "coefficient = R * \\frac{(q)_{a_{1}+a_{2}+a_{3}}}{(q)_{a_{1}} (q)_{a_{2}} (q)_{a_{3}}}\n",
+    ),
+    (
+        ("coeff", "--delta", "2,-1,-1"),
+        "delta: [2, -1, -1]\n"
+        "shift: [0, 1, 0]\n"
+        "points: 2\n"
+        "R = (1 - z1 - z1*z2 + q*z2 + z1^2*z2 - q*z1*z2 - q*z1*z2*z3 + q*z1^2*z2*z3)"
+        " / ((1 - q*z2*z3) (1 - q^2*z2*z3))\n"
+        "coefficient = R * qMultinomial(a1,a2,a3)\n",
+        "delta: [2, -1, -1]\n"
+        "shift: [0, 1, 0]\n"
+        "points: 2\n"
+        "R = \\frac{(1 - z_{1} - z_{1} z_{2} + q z_{2} + z_{1}^{2} z_{2} - q z_{1} z_{2}"
+        " - q z_{1} z_{2} z_{3} + q z_{1}^{2} z_{2} z_{3})}"
+        "{\\left(1 - q z_{2} z_{3}\\right) \\left(1 - q^{2} z_{2} z_{3}\\right)}\n"
+        "coefficient = R * \\frac{(q)_{a_{1}+a_{2}+a_{3}}}{(q)_{a_{1}} (q)_{a_{2}} (q)_{a_{3}}}\n",
+    ),
+    (
+        ("coeff", "--delta", "0,0", "--shift", "0,2", "--split"),
+        "delta: [0, 0]\n"
+        "shift: [0, 2]\n"
+        "term 1: pi=[1, 2] m=[0, 0] R_k = -z1^-2 * (z1 - q - z1^2 + q*z1) / ((1 - q) (1 - q^2))\n"
+        "term 2: pi=[1, 2] m=[0, 1] R_k = -z1^-2 * (1 - z1 - q*z1*z2 + q*z1^2*z2) / ((1 - q)^2)\n"
+        "term 3: pi=[1, 2] m=[0, 2] R_k = z1^-2 * (1 - q*z1*z2 - q^2*z1*z2 + q^3*z1^2*z2^2)"
+        " / ((1 - q) (1 - q^2))\n"
+        "term 4: pi=[1, 2] m=[1, 0] R_k = q*z1^-1 * (1 - z2 - z1 + z1*z2) / ((1 - q)^2)\n"
+        "term 5: pi=[1, 2] m=[1, 1] R_k = -q*z1^-1 * (1 - z2 - q*z1*z2 + q*z1*z2^2) / ((1 - q)^2)\n"
+        "term 6: pi=[1, 2] m=[2, 0] R_k = -q^2 * (z2 - q - z2^2 + q*z2) / ((1 - q) (1 - q^2))\n"
+        "total terms: 6\n",
+        "delta: [0, 0]\n"
+        "shift: [0, 2]\n"
+        "term 1: pi=[1, 2] m=[0, 0] R_k = -\\frac{z_{1}^{-2} (z_{1} - q - z_{1}^{2} + q z_{1})}"
+        "{\\left(1 - q\\right) \\left(1 - q^{2}\\right)}\n"
+        "term 2: pi=[1, 2] m=[0, 1] R_k = -\\frac{z_{1}^{-2} (1 - z_{1} - q z_{1} z_{2}"
+        " + q z_{1}^{2} z_{2})}{\\left(1 - q\\right)^{2}}\n"
+        "term 3: pi=[1, 2] m=[0, 2] R_k = \\frac{z_{1}^{-2} (1 - q z_{1} z_{2} - q^{2} z_{1} z_{2}"
+        " + q^{3} z_{1}^{2} z_{2}^{2})}{\\left(1 - q\\right) \\left(1 - q^{2}\\right)}\n"
+        "term 4: pi=[1, 2] m=[1, 0] R_k = \\frac{q z_{1}^{-1} (1 - z_{2} - z_{1} + z_{1} z_{2})}"
+        "{\\left(1 - q\\right)^{2}}\n"
+        "term 5: pi=[1, 2] m=[1, 1] R_k = -\\frac{q z_{1}^{-1} (1 - z_{2} - q z_{1} z_{2}"
+        " + q z_{1} z_{2}^{2})}{\\left(1 - q\\right)^{2}}\n"
+        "term 6: pi=[1, 2] m=[2, 0] R_k = -\\frac{q^{2} (z_{2} - q - z_{2}^{2} + q z_{2})}"
+        "{\\left(1 - q\\right) \\left(1 - q^{2}\\right)}\n"
+        "total terms: 6\n",
+    ),
+]
+
+PINNED_ARTICLE = (
+    "Theorem.\n"
+    "  The coefficient of x1^1 x2^-1 x3^0 in the q-Dyson product in 3 variables"
+    " equals R * qMultinomial(a1,a2,a3), where\n"
+    "  R = (-1 + z1) / ((1 - q*z2*z3))\n"
+    "\n"
+    "Evaluation set (shift [0, 1, 0]):\n"
+    "  point 1: pi=[1, 2, 3] m=[0, 0, 0] alpha=(0, a1, a1 + a2)\n"
+    "\n"
+    "Per-point rational summands:\n"
+    "  R_1 = (-1 + z1) / ((1 - q*z2*z3))\n"
+    "\n"
+    "Verification appendix:\n"
+    "  a = [1, 1, 1]: coefficient = -1 - q  [match]\n"
+    "  a = [2, 2, 2]: coefficient = -1 - 2*q - 4*q^2 - 5*q^3 - 6*q^4 - 6*q^5"
+    " - 5*q^6 - 4*q^7 - 2*q^8 - q^9  [match]\n"
+)
+
+
+PINNED_IDS = [" ".join(argv) for argv, _, _ in PINNED_COEFF]
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("argv,text,latex", PINNED_COEFF, ids=PINNED_IDS)
+    def test_coeff(self, capsys, argv, text, latex):
+        assert run(capsys, *argv) == (EXIT_OK, text, "")
+        assert run(capsys, *argv, "--format", "latex") == (EXIT_OK, latex, "")
+
+    def test_article(self, capsys):
+        assert run(capsys, "article", "--delta", "1,-1,0") == (
+            EXIT_OK, PINNED_ARTICLE, ""
+        )
+
+    @pytest.mark.parametrize("argv,text,latex", PINNED_COEFF, ids=PINNED_IDS)
+    def test_str_is_text_form(self, argv, text, latex):
+        args = build_parser().parse_args(argv)
+        delta = parse_int_vector(args.delta, "delta")
+        query = CoefficientQuery(delta=delta, shift=parse_shift(args.shift, len(delta)))
+        if args.split:
+            rationals = [r for _, r in coefficient_split(query).terms]
+            marker = " R_k = "
+        else:
+            rationals = [coefficient_combined(query).rational]
+            marker = "R = "
+        for fmt, expected in (("text", text), ("latex", latex)):
+            shown = [
+                line.split(marker, 1)[1]
+                for line in expected.splitlines()
+                if marker in line
+            ]
+            assert [r.render(latex=fmt == "latex") for r in rationals] == shown
+            if fmt == "text":
+                assert [str(r) for r in rationals] == shown
+
+
 class TestRendering:
     def test_one(self):
         from qdyson.exactalg import RationalQZ
 
-        assert render_rational(RationalQZ.one(2)) == "1"
-        assert render_rational(RationalQZ.zero(2)) == "0"
+        assert RationalQZ.one(2).render() == "1"
+        assert RationalQZ.zero(2).render() == "0"
+
+
+def spy(monkeypatch, name):
+    """Record the result of every call of name, through each module that
+    binds it."""
+    results = []
+    for module in (cli, engine):
+        real = getattr(module, name, None)
+        if real is None:
+            continue
+
+        def wrapper(*args, _real=real, **kwargs):
+            results.append(_real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
+class TestOnePipeline:
+    STAGES = ("best_shift", "enumerate_evaluation_set", "coefficient_split", "combine_sum")
+
+    def test_article_runs_each_stage_once(self, capsys, monkeypatch):
+        calls = {name: spy(monkeypatch, name) for name in self.STAGES}
+        assert run(capsys, "article", "--delta", "1,-1,0")[0] == EXIT_OK
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(
+            self.STAGES, 1
+        )
+
+    def test_cross_check_splits_each_shift_once(self, capsys, monkeypatch):
+        best = spy(monkeypatch, "best_shift")
+        splits = spy(monkeypatch, "coefficient_split")
+        code, _, _ = run(
+            capsys, "coeff", "--delta", "1,-1,0", "--cross-check-shifts"
+        )
+        assert code == EXIT_OK
+        assert len(best) == 1
+        assert [s.shift_used for s in splits] == [
+            (0, 1, 0), (0, 0, 0), (1, 1, 1), (0, 1, 1)
+        ]

@@ -11,27 +11,25 @@ from qdyson.symforms import (
     ParityForm,
     QuadForm,
     SignClass,
-    generic_sign,
     parity_reduce,
     quad_finalize,
-    substitute_affine,
 )
 
 
 class TestGenericSign:
     def test_positive(self):
-        assert generic_sign(AffineForm(1, (1, 0))) == SignClass.POSITIVE
+        assert AffineForm(1, (1, 0)).generic_sign() == SignClass.POSITIVE
 
     def test_negative(self):
-        assert generic_sign(AffineForm(0, (0, -1))) == SignClass.NEGATIVE
+        assert AffineForm(0, (0, -1)).generic_sign() == SignClass.NEGATIVE
 
     def test_mixed(self):
-        assert generic_sign(AffineForm(0, (1, -1))) == SignClass.MIXED
+        assert AffineForm(0, (1, -1)).generic_sign() == SignClass.MIXED
 
     def test_constant_only(self):
-        assert generic_sign(AffineForm(5, (0, 0))) == SignClass.POSITIVE
-        assert generic_sign(AffineForm(-5, (0, 0))) == SignClass.NEGATIVE
-        assert generic_sign(AffineForm(0, (0, 0))) == SignClass.ZERO
+        assert AffineForm(5, (0, 0)).generic_sign() == SignClass.POSITIVE
+        assert AffineForm(-5, (0, 0)).generic_sign() == SignClass.NEGATIVE
+        assert AffineForm(0, (0, 0)).generic_sign() == SignClass.ZERO
 
     def test_sign_matches_large_substitution(self):
         random.seed(7)
@@ -40,11 +38,11 @@ class TestGenericSign:
                 random.randint(-4, 4),
                 tuple(random.randint(-2, 2) for _ in range(3)),
             )
-            cls = generic_sign(form)
+            cls = form.generic_sign()
             if cls == SignClass.MIXED:
                 continue
             m = 1 + sum(abs(c) for c in form.coeffs) + abs(form.constant)
-            value = substitute_affine(form, (m, m, m))
+            value = form.evaluate((m, m, m))
             expected = {
                 SignClass.POSITIVE: value > 0,
                 SignClass.NEGATIVE: value < 0,
@@ -55,9 +53,9 @@ class TestGenericSign:
 
 class TestSubstituteAffine:
     def test_examples(self):
-        assert substitute_affine(AffineForm(2, (1, 0, -1)), (1, 5, 2)) == 1
-        assert substitute_affine(AffineForm.total(3), (1, 1, 1)) == 3
-        assert substitute_affine(AffineForm(0, (0, 0)), (9, 9)) == 0
+        assert AffineForm(2, (1, 0, -1)).evaluate((1, 5, 2)) == 1
+        assert AffineForm.total(3).evaluate((1, 1, 1)) == 3
+        assert AffineForm(0, (0, 0)).evaluate((9, 9)) == 0
 
     def test_length_check(self):
         with pytest.raises(ValueError):
@@ -86,7 +84,7 @@ class TestParity:
             bit = parity_reduce(p)
             for _ in range(10):
                 a = tuple(random.randint(1, 9) for _ in range(3))
-                assert p.evaluate(a) == substitute_affine(form, a) % 2
+                assert p.evaluate(a) == form.evaluate(a) % 2
                 if bit is not None:
                     assert p.evaluate(a) == bit
 
