@@ -70,7 +70,6 @@ from .qpochhammer import (
 )
 from .symforms import (
     AffineForm,
-    ParityForm,
     QuadForm,
     SignClass,
     parity_reduce,

@@ -171,13 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qdyson", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, delta=False, fmt=True):
+    def add_common(p, delta=False, formats=("text", "latex", "json")):
         if delta:
             p.add_argument("--delta", required=True, help="comma-separated integers")
-        if fmt:
-            p.add_argument(
-                "--format", choices=("text", "latex", "json"), default="text"
-            )
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("coeff", help="compute the rational factor R for delta")
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("article", help="self-contained theorem + computation trace")
-    add_common(p, delta=True)
+    add_common(p, delta=True, formats=("text", "latex"))
     p.add_argument("--shift", default="auto")
     p.add_argument("--radius", type=int, default=None)
     return parser

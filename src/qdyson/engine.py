@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, UsageError
 from .exactalg import RationalQZ, ZqPoly
 from .latticepoints import (
     EvaluationPoint,
@@ -53,6 +53,8 @@ class CoefficientQuery:
                 raise ValueError(f"unknown shift policy {self.shift!r}")
         elif len(self.shift) != len(self.delta):
             raise ValueError("shift vector has wrong length")
+        if self.radius is not None and self.radius < 1:
+            raise UsageError("radius must be positive")
 
     def resolve_shift(self) -> tuple[int, ...]:
         if self.shift == "zero":

@@ -188,8 +188,11 @@ class SweepConfig:
     include_unbalanced: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "n_range", tuple(sorted(set(self.n_range))))
         if min(self.n_range) < 1 or self.a_max < 1 or self.delta_budget < 0:
             raise UsageError("sweep needs n >= 1, a_max >= 1 and delta_budget >= 0")
+        if self.jobs < 1:
+            raise UsageError("sweep needs jobs >= 1")
         if max(self.n_range) > 4 or self.a_max > 3:
             raise UsageError("sweep bounds exceed desk scale (n <= 4, a <= 3)")
 
@@ -217,7 +220,7 @@ def sweep(config: SweepConfig) -> list[VerificationReport]:
     """Deterministic engine-vs-oracle comparison over the configured range;
     mismatches and engine errors are reported as data, never raised."""
     reports: list[VerificationReport] = []
-    for n in sorted(config.n_range):
+    for n in config.n_range:
         if config.include_unbalanced:
             deltas = sorted(
                 d

@@ -4,8 +4,9 @@ A ``QExpr`` is a value of the shape
 
     (-1)^parity * q^qexp * prod (q)_L ^ e_L
 
-where parity is a mod-2 affine form, qexp an exact-rational quadratic form,
-and each L an affine-linear form in a_1..a_n with nonnegative generic sign.
+where parity is an affine form read mod 2, qexp a quadratic form with
+coefficients in (1/2)Z, and each L an affine-linear form in a_1..a_n with
+nonnegative generic sign.
 Evaluations of the cleared q-Dyson product and of the grid node-polynomial
 derivatives both land here; ``normalize_to_rational`` then divides out the
 q-multinomial coefficient and collapses what survives into a factored
@@ -22,7 +23,6 @@ from .errors import InternalInconsistency, MixedSign
 from .exactalg import Atom, QPoly, RationalQZ, ZqMonomial, ZqPoly
 from .symforms import (
     AffineForm,
-    ParityForm,
     QuadForm,
     SignClass,
     parity_reduce,
@@ -51,23 +51,23 @@ class QExpr:
     """(-1)^parity * q^qexp * product of (q)_L factors; or the zero value."""
 
     n: int
-    parity: ParityForm
+    parity: AffineForm
     qexp: QuadForm
     poch: tuple[tuple[AffineForm, int], ...]
     zero: bool = False
 
     @staticmethod
     def identity(n: int) -> "QExpr":
-        return QExpr(n, ParityForm.zero(n), QuadForm.zero(n), ())
+        return QExpr(n, AffineForm.const(n, 0), QuadForm.zero(n), ())
 
     @staticmethod
     def make_zero(n: int) -> "QExpr":
-        return QExpr(n, ParityForm.zero(n), QuadForm.zero(n), (), zero=True)
+        return QExpr(n, AffineForm.const(n, 0), QuadForm.zero(n), (), zero=True)
 
     @staticmethod
     def build(
         n: int,
-        parity: ParityForm,
+        parity: AffineForm,
         qexp: QuadForm,
         poch: Mapping[AffineForm, int],
     ) -> "QExpr":
@@ -110,7 +110,7 @@ class QExpr:
         """Specialize a and return (numerator, denominator) in q exactly."""
         if self.zero:
             return QPoly(), QPoly.one()
-        sign = -1 if self.parity.evaluate(a) else 1
+        sign = -1 if self.parity.evaluate(a) % 2 else 1
         e = self.qexp.evaluate(a)
         if e.denominator != 1:
             raise InternalInconsistency(f"non-integral q-exponent {e} at a={a}")
@@ -155,7 +155,7 @@ def rewrite_pochhammer(e: AffineForm, f: AffineForm) -> QExpr:
     if se == SignClass.POSITIVE:
         return QExpr.build(
             n,
-            ParityForm.zero(n),
+            AffineForm.const(n, 0),
             QuadForm.zero(n),
             Counter({top: 1, e - 1: -1}),
         )
@@ -166,7 +166,7 @@ def rewrite_pochhammer(e: AffineForm, f: AffineForm) -> QExpr:
         qexp = QuadForm.from_product(f, e) + QuadForm.choose2(f)
         return QExpr.build(
             n,
-            ParityForm.from_affine(f),
+            f,
             qexp,
             Counter({-e: 1, (-e) - f: -1}),
         )
@@ -211,7 +211,7 @@ def evaluate_product_at_point(alpha: Sequence[AffineForm]) -> QExpr:
                 return QExpr.make_zero(n)
             mono = QExpr(
                 n,
-                ParityForm.zero(n),
+                AffineForm.const(n, 0),
                 QuadForm.from_product(alpha[j], ai)
                 + QuadForm.from_product(alpha[i], aj),
                 (),
@@ -244,7 +244,7 @@ def phi_prime_at_point(i: int, alpha_i: AffineForm, grid: GridSpec) -> QExpr:
     poch: Counter = Counter()
     poch[j] += 1
     poch[d - j] += 1  # j and d-j may coincide; their exponents must add
-    return QExpr.build(n, ParityForm.from_affine(j), qexp, poch)
+    return QExpr.build(n, j, qexp, poch)
 
 
 def q_multinomial_symbols(n: int) -> Counter:

@@ -1,4 +1,8 @@
-"""Affine, quadratic and parity forms in the symbolic parameters a_1..a_n.
+"""Affine and quadratic forms in the symbolic parameters a_1..a_n.
+
+Every coefficient is an integer: quadratic forms store twice their
+coefficients, and a sign (-1)^p keeps its exponent p as an affine form that
+is read mod 2.
 
 The whole pipeline works under the standing assumption that every a_i is a
 strictly positive integer that may be taken arbitrarily large, independently
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .errors import InternalInconsistency
@@ -129,142 +133,98 @@ class AffineForm:
         return out
 
 
-@dataclass(frozen=True)
-class ParityForm:
-    """Mod-2 affine form; tracks the exponent of (-1)."""
+def parity_reduce(form: AffineForm) -> Optional[int]:
+    """The bit of (-1)^form if it does not depend on any a_i, else None.
 
-    constant: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.constant not in (0, 1) or any(c not in (0, 1) for c in self.coeffs):
-            raise ValueError("parity entries must be bits")
-
-    @staticmethod
-    def zero(n: int) -> "ParityForm":
-        return ParityForm(0, (0,) * n)
-
-    @staticmethod
-    def from_affine(form: AffineForm) -> "ParityForm":
-        return ParityForm(form.constant % 2, tuple(c % 2 for c in form.coeffs))
-
-    def __add__(self, other: "ParityForm") -> "ParityForm":
-        return ParityForm(
-            (self.constant + other.constant) % 2,
-            tuple((x + y) % 2 for x, y in zip(self.coeffs, other.coeffs)),
-        )
-
-    def evaluate(self, a: Sequence[int]) -> int:
-        return (self.constant + sum(c * v for c, v in zip(self.coeffs, a))) % 2
-
-
-def parity_reduce(p: ParityForm) -> Optional[int]:
-    """The constant bit if the parity does not depend on any a_i, else None."""
-    if any(p.coeffs):
+    A sign exponent is read mod 2, so only the parity of each entry counts.
+    """
+    if any(c % 2 for c in form.coeffs):
         return None
-    return p.constant
+    return form.constant % 2
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+@cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The monomials x_i * x_j, 0 <= i <= j <= n, with x_0 = 1 and x_k = a_k.
+
+    The n + 1 pairs with i = 0 (the constant and linear terms) come first.
+    """
+    return tuple((i, j) for i in range(n + 1) for j in range(i, n + 1))
+
+
+def _product_coeffs(f: AffineForm, g: AffineForm) -> tuple[int, ...]:
+    """Coefficients of f * g on the monomials of ``_pairs``."""
+    fx = (f.constant, *f.coeffs)
+    gx = (g.constant, *g.coeffs)
+    return tuple(
+        fx[i] * gx[i] if i == j else fx[i] * gx[j] + fx[j] * gx[i]
+        for i, j in _pairs(f.n)
+    )
 
 
 @dataclass(frozen=True)
 class QuadForm:
-    """Exact-rational quadratic form in a_1..a_n.
+    """Quadratic form in a_1..a_n with coefficients in (1/2)Z.
 
-    quad is a full symmetric n x n matrix of Fractions, so the value is
-    constant + linear . a + a^T quad a.
+    ``twice`` holds twice the coefficient of each monomial of ``_pairs(n)``,
+    so every entry is an integer: only ``choose2`` halves, and what it
+    halves is the integer product f * (f - 1).
     """
 
-    constant: Fraction
-    linear: tuple[Fraction, ...]
-    quad: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.linear)
+    n: int
+    twice: tuple[int, ...]
 
     @staticmethod
     def zero(n: int) -> "QuadForm":
-        z = Fraction(0)
-        return QuadForm(z, (z,) * n, tuple(((z,) * n) for _ in range(n)))
+        return QuadForm(n, (0,) * len(_pairs(n)))
 
     @staticmethod
     def from_affine(form: AffineForm) -> "QuadForm":
-        base = QuadForm.zero(form.n)
-        return QuadForm(
-            _frac(form.constant),
-            tuple(_frac(c) for c in form.coeffs),
-            base.quad,
-        )
+        n = form.n
+        affine = (2 * form.constant, *(2 * c for c in form.coeffs))
+        return QuadForm(n, affine + (0,) * (len(_pairs(n)) - n - 1))
 
     @staticmethod
     def from_product(f: AffineForm, g: AffineForm) -> "QuadForm":
         """The quadratic form f(a) * g(a)."""
-        n = f.n
-        quad = tuple(
-            tuple(
-                Fraction(f.coeffs[i] * g.coeffs[j] + f.coeffs[j] * g.coeffs[i], 2)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        linear = tuple(
-            Fraction(f.constant * g.coeffs[i] + g.constant * f.coeffs[i])
-            for i in range(n)
-        )
-        return QuadForm(Fraction(f.constant * g.constant), linear, quad)
+        return QuadForm(f.n, tuple(2 * c for c in _product_coeffs(f, g)))
 
     @staticmethod
     def choose2(form: AffineForm) -> "QuadForm":
-        """binom(f, 2) = f*(f-1)/2, exact over the rationals."""
-        return QuadForm.from_product(form, form - 1).scale(Fraction(1, 2))
+        """binom(f, 2) = f*(f-1)/2, so twice it is f*(f-1)."""
+        return QuadForm(form.n, _product_coeffs(form, form - 1))
 
     def __add__(self, other: "QuadForm") -> "QuadForm":
-        return QuadForm(
-            self.constant + other.constant,
-            tuple(x + y for x, y in zip(self.linear, other.linear)),
-            tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.quad, other.quad)
-            ),
-        )
+        return QuadForm(self.n, tuple(x + y for x, y in zip(self.twice, other.twice)))
 
     def __sub__(self, other: "QuadForm") -> "QuadForm":
-        return self + other.scale(-1)
+        return self + (-other)
 
     def __neg__(self) -> "QuadForm":
-        return self.scale(-1)
+        return QuadForm(self.n, tuple(-t for t in self.twice))
 
     def scale(self, k) -> "QuadForm":
-        k = _frac(k)
-        return QuadForm(
-            self.constant * k,
-            tuple(c * k for c in self.linear),
-            tuple(tuple(c * k for c in row) for row in self.quad),
-        )
+        """Multiply by a rational k; the result must stay in (1/2)Z."""
+        num, den = k.numerator, k.denominator
+        if any(t * num % den for t in self.twice):
+            raise ValueError(f"scaling {self} by {k} leaves (1/2)Z")
+        return QuadForm(self.n, tuple(t * num // den for t in self.twice))
 
-    def is_zero(self) -> bool:
-        return (
-            self.constant == 0
-            and not any(self.linear)
-            and not any(any(row) for row in self.quad)
-        )
+    def evaluate(self, a: Sequence[int]) -> "Fraction":
+        """The exact value at a; only numeric checks need it."""
+        from fractions import Fraction
 
-    def evaluate(self, a: Sequence[int]) -> Fraction:
-        val = self.constant + sum(c * v for c, v in zip(self.linear, a))
-        for i in range(self.n):
-            for j in range(self.n):
-                val += self.quad[i][j] * a[i] * a[j]
-        return val
+        x = (1, *a)
+        doubled = sum(t * x[i] * x[j] for t, (i, j) in zip(self.twice, _pairs(self.n)))
+        return Fraction(doubled, 2)
 
 
 def quad_finalize(q: QuadForm) -> AffineForm:
     """Collapse a quadratic form whose quadratic part cancelled to an
     integral affine form; anything left over is a pipeline bug."""
-    if any(any(row) for row in q.quad):
+    affine, quad = q.twice[: q.n + 1], q.twice[q.n + 1 :]
+    if any(quad):
         raise InternalInconsistency(f"quadratic term survives in exponent: {q}")
-    if q.constant.denominator != 1 or any(c.denominator != 1 for c in q.linear):
+    if any(t % 2 for t in affine):
         raise InternalInconsistency(f"non-integral exponent survives: {q}")
-    return AffineForm(int(q.constant), tuple(int(c) for c in q.linear))
+    return AffineForm(affine[0] // 2, tuple(t // 2 for t in affine[1:]))

@@ -82,9 +82,13 @@ class TestExitCodes:
             ("sweep", "--n", "0"),
             ("sweep", "--n", "2", "--a-max", "0"),
             ("sweep", "--n", "2", "--delta-budget", "-1"),
+            ("sweep", "--n", "2", "--jobs", "0"),
+            ("sweep", "--n", "2", "--jobs", "-3"),
             ("coeff", "--delta", "1,-1", "--radius", "0"),
+            ("coeff", "--delta", "1,-1", "--radius", "0", "--shift", "zero"),
             ("best-shift", "--delta", "1,-1", "--radius", "0"),
             ("article", "--delta", "1,-1", "--radius", "0"),
+            ("article", "--delta", "1,-1", "--radius", "0", "--shift", "zero"),
         ],
     )
     def test_out_of_range(self, capsys, argv):
@@ -249,6 +253,17 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "usage error" in err
 
+    def test_repeated_n_runs_once(self, capsys):
+        totals = []
+        for n_arg in ("2", "2,2"):
+            code, out, _ = run(
+                capsys, "sweep", "--n", n_arg, "--a-max", "1", "--delta-budget", "0",
+                "--format", "json",
+            )
+            assert code == EXIT_OK
+            totals.append(json.loads(out)["total"])
+        assert totals[0] == totals[1] > 0
+
 
 class TestArticle:
     def test_contains_all_sections(self, capsys):
@@ -266,6 +281,11 @@ class TestArticle:
     def test_unbalanced_rejected(self, capsys):
         code, _, _ = run(capsys, "article", "--delta", "1,1")
         assert code == EXIT_USAGE
+
+    def test_json_format_rejected(self, capsys):
+        code, out, err = run(capsys, "article", "--delta", "0,0", "--format", "json")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: ")
 
 
 class TestOutFile:

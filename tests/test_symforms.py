@@ -4,11 +4,12 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdyson.errors import InternalInconsistency
 from qdyson.symforms import (
     AffineForm,
-    ParityForm,
     QuadForm,
     SignClass,
     parity_reduce,
@@ -64,14 +65,14 @@ class TestSubstituteAffine:
 
 class TestParity:
     def test_even_coefficient(self):
-        assert parity_reduce(ParityForm.from_affine(AffineForm(1, (2,)))) == 1
+        assert parity_reduce(AffineForm(1, (2,))) == 1
 
     def test_a_dependent(self):
-        assert parity_reduce(ParityForm.from_affine(AffineForm(0, (1,)))) is None
+        assert parity_reduce(AffineForm(0, (1,))) is None
 
     def test_mod2_cancellation(self):
         form = AffineForm(0, (0, 1)) + AffineForm(0, (0, 1))
-        assert parity_reduce(ParityForm.from_affine(form)) == 0
+        assert parity_reduce(form) == 0
 
     def test_agrees_with_substitution(self):
         random.seed(11)
@@ -80,13 +81,16 @@ class TestParity:
                 random.randint(-3, 3),
                 tuple(random.randint(-2, 2) for _ in range(3)),
             )
-            p = ParityForm.from_affine(form)
-            bit = parity_reduce(p)
+            bit = parity_reduce(form)
             for _ in range(10):
                 a = tuple(random.randint(1, 9) for _ in range(3))
-                assert p.evaluate(a) == form.evaluate(a) % 2
                 if bit is not None:
-                    assert p.evaluate(a) == bit
+                    assert form.evaluate(a) % 2 == bit
+                else:
+                    # stepping a parameter with an odd coefficient flips the sign
+                    i = next(k for k, c in enumerate(form.coeffs) if c % 2)
+                    stepped = tuple(v + (k == i) for k, v in enumerate(a))
+                    assert form.evaluate(stepped) % 2 != form.evaluate(a) % 2
 
 
 class TestQuadForm:
@@ -124,6 +128,12 @@ class TestQuadForm:
         form = AffineForm(-2, (0, 5, 1))
         assert quad_finalize(QuadForm.from_affine(form)) == form
 
+    def test_scale_stays_in_half_integers(self):
+        q = QuadForm.choose2(AffineForm(0, (1,)))  # (a1^2 - a1) / 2
+        assert q.scale(2) == QuadForm.from_product(AffineForm(0, (1,)), AffineForm(-1, (1,)))
+        with pytest.raises(ValueError):
+            q.scale(Fraction(1, 2))
+
     def test_finalize_rejects_quadratic_residue(self):
         residue = QuadForm.choose2(AffineForm(0, (1,))) + QuadForm.from_affine(
             AffineForm(0, (1,))
@@ -133,3 +143,56 @@ class TestQuadForm:
             quad_finalize(QuadForm.from_product(AffineForm(0, (1,)), AffineForm(0, (1,))).scale(Fraction(1, 2)))
         with pytest.raises(InternalInconsistency):
             quad_finalize(residue)  # leftover a1/2 is non-integral
+
+
+@st.composite
+def forms_and_point(draw):
+    """n in 1..4, three small affine forms f, g, h and an integer point a."""
+    n = draw(st.integers(1, 4))
+    form = st.builds(
+        AffineForm, st.integers(-5, 5), st.tuples(*[st.integers(-5, 5)] * n)
+    )
+    a = draw(st.tuples(*[st.integers(-9, 9)] * n))
+    return draw(form), draw(form), draw(form), a
+
+
+@st.composite
+def cross_term(draw):
+    """n in 3..4, parameter indices i < j and an affine form h."""
+    n = draw(st.integers(3, 4))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    i, j = sorted(draw(pair))
+    h = AffineForm(draw(st.integers(-5, 5)), draw(st.tuples(*[st.integers(-5, 5)] * n)))
+    return n, i, j, h
+
+
+class TestDoubledLayout:
+    @settings(max_examples=150, deadline=None)
+    @given(forms_and_point())
+    def test_evaluate_is_exact(self, case):
+        f, g, h, a = case
+        q = QuadForm.from_product(f, g) + QuadForm.choose2(h) - QuadForm.from_affine(f)
+        fa, ga, ha = f.evaluate(a), g.evaluate(a), h.evaluate(a)
+        assert q.evaluate(a) == fa * ga + Fraction(ha * (ha - 1), 2) - fa
+
+    @settings(max_examples=150, deadline=None)
+    @given(forms_and_point())
+    def test_finalize_after_cancellation(self, case):
+        f, g, h, _ = case
+        q = (
+            QuadForm.from_product(f, g)
+            - QuadForm.from_product(g, f)
+            + QuadForm.from_affine(h)
+        )
+        assert quad_finalize(q) == h
+
+    @settings(max_examples=60, deadline=None)
+    @given(cross_term())
+    def test_lone_cross_term_rejected(self, case):
+        # an a_i * a_j entry read as a linear one would finalize quietly
+        n, i, j, h = case
+        q = QuadForm.from_product(
+            AffineForm.param(n, i), AffineForm.param(n, j)
+        ) + QuadForm.from_affine(h)
+        with pytest.raises(InternalInconsistency):
+            quad_finalize(q)
