@@ -5,14 +5,17 @@ and a budget vector m of nonnegative integers: the sorted values climb by
 a_{pi(r)} + [pi(r) > pi(r+1)] plus slack m, and the total slack is bounded
 by delta_{pi(n)} - des(pi) plus the shift difference.  The parametrization
 is independent of the symbolic a_i, so the whole set is enumerated once per
-delta and shift.
+delta and shift.  Sizing and the shift search (exact over the radius box for
+every n) read a per-n count of permutations by first, last letter and descents.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
-from math import comb
+from functools import cache
+from itertools import permutations
+from math import comb, inf
 from typing import Iterator, Optional, Sequence
 
 from .errors import DuplicatePoint, UsageError
@@ -45,15 +48,6 @@ class EvaluationSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def _budget(pi: Sequence[int], delta: Sequence[int], shift: Sequence[int]) -> int:
-    return (
-        delta[pi[-1] - 1]
-        - descent_count(pi)
-        + shift[pi[-1] - 1]
-        - shift[pi[0] - 1]
-    )
 
 
 def _slack_vectors(n: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -104,7 +98,8 @@ def enumerate_evaluation_set(
     points: list[EvaluationPoint] = []
     seen: set = set()
     for pi in permutations(range(1, n + 1)):
-        b = _budget(pi, delta, shift)
+        f, l = pi[0] - 1, pi[-1] - 1
+        b = delta[l] - descent_count(pi) + shift[l] - shift[f]
         if b < 0:
             continue
         for m in _slack_vectors(n, b):
@@ -123,6 +118,14 @@ def enumerate_evaluation_set(
     )
 
 
+@cache
+def _descent_table(n: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    """Permutations of 1..n counted by (first, last, descent count)."""
+    perms = permutations(range(1, n + 1))
+    counts = Counter((pi[0], pi[-1], descent_count(pi)) for pi in perms)
+    return tuple(counts.items())
+
+
 def evaluation_set_size(
     delta: Sequence[int], shift: Sequence[int] | None = None
 ) -> int:
@@ -131,12 +134,11 @@ def evaluation_set_size(
     shift = (0,) * n if shift is None else tuple(shift)
     if sum(delta) != 0:
         raise ValueError("delta must sum to zero")
-    total = 0
-    for pi in permutations(range(1, n + 1)):
-        b = _budget(pi, delta, shift)
-        if b >= 0:
-            total += comb(b + n, n)
-    return total
+    return sum(
+        count * comb(b + n, n)
+        for (f, l, k), count in _descent_table(n)
+        if (b := delta[l - 1] - k + shift[l - 1] - shift[f - 1]) >= 0
+    )
 
 
 def default_radius(delta: Sequence[int]) -> int:
@@ -146,46 +148,50 @@ def default_radius(delta: Sequence[int]) -> int:
 def best_shift(
     delta: Sequence[int], radius: int | None = None
 ) -> tuple[tuple[int, ...], int]:
-    """A shift minimizing |S_delta| over the search space.
+    """A shift minimizing |S_delta|, exact over the radius box for every n.
 
-    Only shift differences matter, so the first coordinate is pinned to 0.
-    Exhaustive search for n <= 5; greedy coordinate descent from 0 above.
-    Ties go to the lexicographically smallest shift, comparing coordinates
-    by magnitude first so that the zero shift wins all-way ties.
+    Only shift differences matter, so the first coordinate is pinned to 0; the
+    others range over [-radius, radius].  Ties go to the lexicographically
+    smallest shift, comparing coordinates by magnitude first so that the zero
+    shift wins all-way ties.  A budget depends on the shift only through
+    c_last - c_first, so |S| is a sum of pair costs cost[i, j][c_j - c_i].  A
+    depth-first search sets c_1, c_2, ... in tie-break order and drops a branch
+    once its set pairs plus the least cost of each open pair cannot win.
     """
     n = len(delta)
     if sum(delta) != 0:
         raise ValueError("delta must sum to zero")
-    if radius is None:
-        radius = default_radius(delta)
+    radius = default_radius(delta) if radius is None else radius
     if radius < 1:
         raise UsageError("radius must be positive")
-    def key(c):
-        return tuple((abs(x), x) for x in c)
-
-    if n <= 5:
-        best_c = (0,) * n
-        best_size = evaluation_set_size(delta, best_c)
-        for tail in product(range(-radius, radius + 1), repeat=n - 1):
-            c = (0,) + tail
-            size = evaluation_set_size(delta, c)
-            if size < best_size or (size == best_size and key(c) < key(best_c)):
-                best_c, best_size = c, size
-        return best_c, best_size
+    span = 2 * radius
+    cost = {(i, j): [0] * (2 * span + 1) for j in range(n) for i in range(j)}
+    for (f, l, k), count in _descent_table(n):
+        if f != l:
+            row, sign = cost[min(f, l) - 1, max(f, l) - 1], 1 if f < l else -1
+            for d in range(-span, span + 1):
+                if (b := delta[l - 1] - k + sign * d) >= 0:
+                    row[d + span] += count * comb(b + n, n)
+    # open_min[k]: least total cost of the pairs left open once c_0..c_k are set
+    open_min = [
+        sum(min(row) for (_, j), row in cost.items() if j > k) for k in range(n)
+    ]
+    values = sorted(range(-radius, radius + 1), key=lambda x: (abs(x), x))
     c = [0] * n
-    size = evaluation_set_size(delta, c)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(1, n):
-            for cand in range(-radius, radius + 1):
-                trial = c.copy()
-                trial[i] = cand
-                s = evaluation_set_size(delta, trial)
-                if s < size or (s == size and key(trial) < key(c)):
-                    c, size = trial, s
-                    improved = True
-    return tuple(c), size
+    best: list = [None, inf]
+
+    def search(k: int, fixed: int) -> None:
+        if k == n:
+            best[:] = [tuple(c), fixed]
+            return
+        for x in values:
+            c[k] = x
+            total = fixed + sum(cost[i, k][x - c[i] + span] for i in range(k))
+            if total + open_min[k] < best[1]:
+                search(k + 1, total)
+
+    search(1, 0)
+    return best[0], evaluation_set_size(delta, best[0])
 
 
 def vanishing_condition_holds(

@@ -255,8 +255,12 @@ def sweep(config: SweepConfig) -> list[VerificationReport]:
 
 
 def default_jobs() -> int:
+    """Worker count from QDYSON_JOBS: 1 when unset, else an integer >= 1."""
     env = os.environ.get("QDYSON_JOBS", "")
     try:
-        return max(1, int(env))
+        jobs = int(env or 1)
     except ValueError:
-        return 1
+        raise UsageError(f"QDYSON_JOBS must be an integer, got {env!r}") from None
+    if jobs < 1:
+        raise UsageError(f"QDYSON_JOBS must be >= 1, got {jobs}")
+    return jobs

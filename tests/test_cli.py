@@ -166,6 +166,14 @@ class TestCoeffOutput:
         assert code == EXIT_OK
         assert "shift: [0, 1]" in out
 
+    def test_exact_best_shift_at_n6(self, capsys):
+        code, out, _ = run(capsys, "coeff", "--delta", "0,-2,0,0,0,2")
+        assert code == EXIT_OK
+        assert out.splitlines()[1:3] == [
+            "shift: [0, 0, -1, -1, -1, -2]",
+            "points: 10",
+        ]
+
 
 class TestNegativeVectors:
     @pytest.mark.parametrize(
@@ -252,6 +260,15 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--n", "5")
         assert code == EXIT_USAGE
         assert "usage error" in err
+
+    @pytest.mark.parametrize("value", ["-3", "0", "lots"])
+    def test_bad_jobs_environment(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QDYSON_JOBS", value)
+        code, out, err = run(
+            capsys, "sweep", "--n", "2", "--a-max", "1", "--delta-budget", "0"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: ")
 
     def test_repeated_n_runs_once(self, capsys):
         totals = []

@@ -1,6 +1,7 @@
 """Evaluation-set enumeration, size formula, and shift optimization."""
 
-from itertools import product
+from itertools import permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,32 @@ def zero_sum(n, budget):
         for d in product(range(-budget, budget + 1), repeat=n)
         if sum(d) == 0 and sum(abs(x) for x in d) <= budget
     ]
+
+
+def scan_size(delta, shift):
+    """|S_delta| by a scan over all n! permutations."""
+    n = len(delta)
+    total = 0
+    for pi in permutations(range(1, n + 1)):
+        f, l = pi[0] - 1, pi[-1] - 1
+        b = delta[l] - descent_count(pi) + shift[l] - shift[f]
+        if b >= 0:
+            total += comb(b + n, n)
+    return total
+
+
+def brute_best_shift(delta, radius):
+    """Every shift of the box scored in tie-break order; the first minimum wins."""
+    values = sorted(range(-radius, radius + 1), key=lambda x: (abs(x), x))
+    shifts = ((0,) + tail for tail in product(values, repeat=len(delta) - 1))
+    best = min(shifts, key=lambda c: evaluation_set_size(delta, c))
+    return best, evaluation_set_size(delta, best)
+
+
+@st.composite
+def deltas(draw, max_n):
+    head = draw(st.lists(st.integers(-2, 2), max_size=max_n - 1))
+    return tuple(head) + (-sum(head),)
 
 
 class TestDescents:
@@ -85,6 +112,14 @@ class TestEnumeration:
                     assert evaluation_set_size(delta, shift) == len(
                         enumerate_evaluation_set(delta, shift)
                     )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_size_formula_matches_scan(self, data):
+        delta = data.draw(deltas(7))
+        n = len(delta)
+        shift = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
+        assert evaluation_set_size(delta, shift) == scan_size(delta, shift)
 
     def test_alpha_strictly_increasing_along_pi(self):
         # consecutive sorted values differ by a positive form
@@ -158,6 +193,22 @@ class TestBestShift:
     def test_default_radius(self):
         assert default_radius((0, 0)) == 2
         assert default_radius((3, -3)) == 4
+
+    def test_matches_brute_force(self):
+        for n in (2, 3, 4):
+            for delta in zero_sum(n, 4):
+                radius = default_radius(delta)
+                assert best_shift(delta) == brute_best_shift(delta, radius), delta
+        for delta in zero_sum(5, 4):
+            assert best_shift(delta, 2) == brute_best_shift(delta, 2), delta
+
+    @settings(max_examples=40, deadline=None)
+    @given(deltas(5), st.sampled_from((1, 2)))
+    def test_matches_brute_force_random(self, delta, radius):
+        assert best_shift(delta, radius) == brute_best_shift(delta, radius)
+
+    def test_exact_at_n6(self):
+        assert best_shift((0, -2, 0, 0, 0, 2)) == ((0, 0, -1, -1, -1, -2), 10)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(-2, 2), min_size=2, max_size=3))

@@ -82,6 +82,7 @@ class TestVerify:
             ((1, -1), (2, 3)),
             ((1, 0, -1), (1, 1, 1)),
             ((2, -2), (2, 2)),
+            ((0, -2, 0, 0, 0, 2), (1,) * 6),
         ):
             report = verify_query(delta, a)
             assert report.match, (delta, a, report.error)
