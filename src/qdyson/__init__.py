@@ -31,7 +31,6 @@ from .errors import (
 )
 from .exactalg import (
     Atom,
-    LaurentPoly,
     QPoly,
     RationalQZ,
     ZqMonomial,

@@ -1,11 +1,8 @@
 """Exact arbitrary-precision arithmetic.
 
-Four sparse representations, all immutable in practice:
+Three sparse representations, all immutable in practice:
 
 * ``QPoly`` -- integer Laurent polynomial in q;
-* ``LaurentPoly`` -- multivariate Laurent polynomial in x_1..x_n with
-  ``QPoly`` coefficients (the brute-force expansion of the q-Dyson product
-  lives here);
 * ``ZqPoly`` -- integer polynomial in q and z_1..z_n, Laurent exponents
   allowed (z_i stands for q^{a_i}).  Each exponent vector is packed into one
   int key with a 16-bit field per variable, so multiplying by a monomial adds
@@ -179,136 +176,6 @@ def equal_as_rational(
     if fd.is_zero() or gd.is_zero():
         raise ZeroDivisionError("zero denominator in rational comparison")
     return fn * gd == gn * fd
-
-
-class LaurentPoly:
-    """Sparse multivariate Laurent polynomial with QPoly coefficients."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(
-        self,
-        nvars: int,
-        terms: Mapping[tuple[int, ...], QPoly] | Iterable = (),
-    ):
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        self.nvars = nvars
-        d: dict[tuple[int, ...], QPoly] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise DimensionMismatch("exponent vector has wrong length")
-            if not isinstance(coeff, QPoly):
-                coeff = QPoly({0: coeff})
-            prev = d.get(exps)
-            coeff = prev + coeff if prev is not None else coeff
-            if coeff.is_zero():
-                d.pop(exps, None)
-            else:
-                d[exps] = coeff
-        self.terms = d
-
-    @staticmethod
-    def zero(nvars: int) -> "LaurentPoly":
-        return LaurentPoly(nvars)
-
-    @staticmethod
-    def one(nvars: int) -> "LaurentPoly":
-        return LaurentPoly(nvars, {(0,) * nvars: QPoly.one()})
-
-    @staticmethod
-    def monomial(nvars: int, exps: Sequence[int], coeff=1) -> "LaurentPoly":
-        if not isinstance(coeff, QPoly):
-            coeff = QPoly({0: coeff})
-        return LaurentPoly(nvars, {tuple(exps): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self) -> list[tuple[tuple[int, ...], QPoly]]:
-        return sorted(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, tuple(self.items())))
-
-    def _check(self, other: "LaurentPoly"):
-        if self.nvars != other.nvars:
-            raise DimensionMismatch(
-                f"{self.nvars} variables vs {other.nvars} variables"
-            )
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        d = dict(self.terms)
-        for exps, c in other.terms.items():
-            prev = d.get(exps)
-            s = prev + c if prev is not None else c
-            if s.is_zero():
-                d.pop(exps, None)
-            else:
-                d[exps] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.nvars = self.nvars
-        out.terms = d
-        return out
-
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        d: dict[tuple[int, ...], dict[int, int]] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                acc = d.setdefault(exps, {})
-                for q1, a1 in c1.terms.items():
-                    for q2, a2 in c2.terms.items():
-                        qe = q1 + q2
-                        acc[qe] = acc.get(qe, 0) + a1 * a2
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.nvars = self.nvars
-        out.terms = {}
-        for exps, acc in d.items():
-            coeff = QPoly(_trimmed(acc))
-            if not coeff.is_zero():
-                out.terms[exps] = coeff
-        return out
-
-    def coefficient(self, kappa: Sequence[int]) -> QPoly:
-        """Coefficient of prod x_i^{kappa_i}; zero if absent."""
-        kappa = tuple(kappa)
-        if len(kappa) != self.nvars:
-            raise DimensionMismatch("coefficient index has wrong length")
-        return self.terms.get(kappa, QPoly())
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in self.items():
-            xs = "*".join(
-                f"x{i + 1}^{e}" if e != 1 else f"x{i + 1}"
-                for i, e in enumerate(exps)
-                if e
-            )
-            parts.append(f"({c})" + (f"*{xs}" if xs else ""))
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 def _mono_str(qexp: int, zexp: Sequence[int], latex: bool) -> str:

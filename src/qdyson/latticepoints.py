@@ -134,6 +134,8 @@ def evaluation_set_size(
     shift = (0,) * n if shift is None else tuple(shift)
     if sum(delta) != 0:
         raise ValueError("delta must sum to zero")
+    if len(shift) != n:
+        raise ValueError("shift vector has wrong length")
     return sum(
         count * comb(b + n, n)
         for (f, l, k), count in _descent_table(n)

@@ -30,18 +30,13 @@ from .symforms import (
 )
 
 
-def _canon_poch(n: int, poch: Mapping[AffineForm, int]) -> tuple:
-    """Drop unit factors, validate indices, and sort canonically."""
-    out = []
-    for index, exp in poch.items():
-        if exp == 0 or index.is_zero():
-            continue
-        sign = index.generic_sign()
-        if sign not in (SignClass.POSITIVE, SignClass.ZERO):
-            raise InternalInconsistency(
-                f"(q)_L with generically non-positive index L = {index}"
-            )
-        out.append((index, exp))
+def _canon_poch(poch: Mapping[AffineForm, int]) -> tuple:
+    """Drop unit factors and sort canonically."""
+    out = [
+        (index, exp)
+        for index, exp in poch.items()
+        if exp != 0 and not index.is_zero()
+    ]
     out.sort(key=lambda kv: (kv[0].coeffs, kv[0].constant, kv[1]))
     return tuple(out)
 
@@ -71,7 +66,14 @@ class QExpr:
         qexp: QuadForm,
         poch: Mapping[AffineForm, int],
     ) -> "QExpr":
-        return QExpr(n, parity, qexp, _canon_poch(n, poch))
+        """The canonical value; every (q)_L index must be generically >= 0."""
+        poch = _canon_poch(poch)
+        for index, _ in poch:
+            if index.generic_sign() not in (SignClass.POSITIVE, SignClass.ZERO):
+                raise InternalInconsistency(
+                    f"(q)_L with generically non-positive index L = {index}"
+                )
+        return QExpr(n, parity, qexp, poch)
 
     def is_zero(self) -> bool:
         return self.zero
@@ -84,23 +86,24 @@ class QExpr:
             return NotImplemented
         if self.zero or other.zero:
             return QExpr.make_zero(self.n)
+        # both factors' indices are validated, so only recombine them
         merged = self.poch_counter()
         merged.update(dict(other.poch))
-        return QExpr.build(
+        return QExpr(
             self.n,
             self.parity + other.parity,
             self.qexp + other.qexp,
-            merged,
+            _canon_poch(merged),
         )
 
     def inverse(self) -> "QExpr":
         if self.zero:
             raise ZeroDivisionError("inverse of the zero q-expression")
-        return QExpr.build(
+        return QExpr(
             self.n,
             self.parity,
             -self.qexp,
-            {index: -exp for index, exp in self.poch},
+            tuple((index, -exp) for index, exp in self.poch),
         )
 
     def __truediv__(self, other: "QExpr") -> "QExpr":

@@ -1,6 +1,8 @@
 """CLI behaviour: exit codes, output formats, and JSON round-trips."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -418,6 +420,30 @@ PINNED_ARTICLE = (
 
 PINNED_IDS = [" ".join(argv) for argv, _, _ in PINNED_COEFF]
 
+PINNED_VERIFY_TEXT = (
+    "delta: [1, -1, 0]  a: [2, 1, 2]  -> match\n"
+    "engine: (-1 - 2*q - 3*q^2 - 3*q^3 - 2*q^4 + 2*q^6 + 3*q^7 + 3*q^8 + 2*q^9"
+    " + q^10) / (1 - q^4)\n"
+    "oracle: -1 - 2*q - 3*q^2 - 3*q^3 - 3*q^4 - 2*q^5 - q^6\n"
+)
+
+# the JSON line of verify --delta 2,-1,-1,0 --a 3,1,2,2 with "seconds" dropped
+PINNED_VERIFY_JSON = (
+    '{"delta":[2,-1,-1,0],"a":[3,1,2,2],"shift":"best","match":true,'
+    '"engine":{"num":[[0,1],[1,3],[2,8],[3,15],[4,25],[5,35],[6,43],[7,45],'
+    "[8,38],[9,20],[10,-9],[11,-45],[12,-83],[13,-114],[14,-132],[15,-130],"
+    "[16,-108],[17,-67],[18,-15],[19,40],[20,87],[21,119],[22,131],[23,123],"
+    "[24,99],[25,65],[26,29],[27,-3],[28,-26],[29,-39],[30,-42],[31,-38],"
+    "[32,-30],[33,-21],[34,-13],[35,-7],[36,-3],[37,-1]],"
+    '"den":[[0,1],[4,-1],[6,-1],[7,-1],[10,1],[11,1],[13,1],[17,-1]]},'
+    '"oracle":[[0,1],[1,3],[2,8],[3,15],[4,26],[5,38],[6,52],[7,64],[8,75],'
+    "[9,81],[10,83],[11,79],[12,71],[13,59],[14,46],[15,33],[16,22],[17,13],"
+    '[18,7],[19,3],[20,1]],"error":""}\n'
+)
+
+# sweep --n 2,3 --a-max 2 --delta-budget 2 prints 136 "ok" lines and a total
+PINNED_SWEEP_SHA256 = "53b223b3bde5586a275b1b50b751e83ae8af553608987e2b4f046867b3e4bcbe"
+
 
 class TestPinnedBytes:
     @pytest.mark.parametrize("argv,text,latex", PINNED_COEFF, ids=PINNED_IDS)
@@ -429,6 +455,28 @@ class TestPinnedBytes:
         assert run(capsys, "article", "--delta", "1,-1,0") == (
             EXIT_OK, PINNED_ARTICLE, ""
         )
+
+    def test_verify_text(self, capsys):
+        assert run(capsys, "verify", "--delta", "1,-1,0", "--a", "2,1,2") == (
+            EXIT_OK, PINNED_VERIFY_TEXT, ""
+        )
+
+    def test_verify_json(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--delta", "2,-1,-1,0", "--a", "3,1,2,2",
+            "--format", "json",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert re.sub(r'"seconds":[^,]*,', "", out) == PINNED_VERIFY_JSON
+
+    def test_sweep_text(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--n", "2,3", "--a-max", "2", "--delta-budget", "2"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("ok  delta=[-1, 1] a=[1, 1] shift=best\n")
+        assert out.endswith("\ntotal: 136  failures: 0\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256
 
     @pytest.mark.parametrize("argv,text,latex", PINNED_COEFF, ids=PINNED_IDS)
     def test_str_is_text_form(self, argv, text, latex):

@@ -1,4 +1,4 @@
-"""Exact-arithmetic core: polynomials, Laurent polynomials, factored rationals."""
+"""Exact-arithmetic core: polynomials in q, in q and z, and factored rationals."""
 
 from collections import Counter
 
@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdyson.cli import dumps_canonical, formula_json
-from qdyson.errors import DenominatorVanishes, DimensionMismatch
+from qdyson.errors import DenominatorVanishes
 from qdyson.exactalg import (
     Atom,
-    LaurentPoly,
     QPoly,
     RationalQZ,
     ZqMonomial,
@@ -48,83 +47,6 @@ class TestQPoly:
         p = QPoly({0: 1, 1: -1})
         assert p ** 0 == QPoly.one()
         assert p ** 3 == p * p * p
-
-
-def x_poly(nvars, *terms):
-    return LaurentPoly(nvars, [(e, c) for e, c in terms])
-
-
-class TestLaurentPoly:
-    def test_mul_identity(self):
-        p = x_poly(2, ((1, -1), -1), ((0, 0), 1))  # 1 - x1/x2
-        assert p * LaurentPoly.one(2) == p
-
-    def test_mul_hand_expansion(self):
-        # (1 - x1/x2)(1 - q x2/x1) = 1 + q - q x2/x1 - x1/x2
-        p = x_poly(2, ((0, 0), 1), ((1, -1), -1))
-        q = LaurentPoly(2, [((0, 0), 1), ((-1, 1), QPoly.monomial(1, -1))])
-        expected = LaurentPoly(
-            2,
-            [
-                ((0, 0), QPoly({0: 1, 1: 1})),
-                ((-1, 1), QPoly.monomial(1, -1)),
-                ((1, -1), QPoly({0: -1})),
-            ],
-        )
-        assert p * q == expected
-
-    def test_mul_annihilator(self):
-        p = x_poly(2, ((1, -1), -1), ((0, 0), 1))
-        assert (p * LaurentPoly.zero(2)).is_zero()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            LaurentPoly.one(2) * LaurentPoly.one(3)
-        with pytest.raises(DimensionMismatch):
-            LaurentPoly.one(2).coefficient((0, 0, 0))
-
-    def test_coefficient_extraction(self):
-        p = LaurentPoly(
-            2,
-            [
-                ((0, 0), QPoly({0: 1, 1: 1})),
-                ((-1, 1), QPoly.monomial(1, -1)),
-                ((1, -1), QPoly({0: -1})),
-            ],
-        )
-        assert p.coefficient((1, -1)) == QPoly({0: -1})
-        assert p.coefficient((0, 0)) == QPoly({0: 1, 1: 1})
-        assert p.coefficient((5, 5)).is_zero()
-
-
-small_qpoly = st.dictionaries(
-    st.integers(-3, 3), st.integers(-4, 4), max_size=4
-).map(QPoly)
-
-
-def small_laurent(nvars):
-    return st.dictionaries(
-        st.tuples(*([st.integers(-2, 2)] * nvars)),
-        small_qpoly,
-        max_size=3,
-    ).map(lambda d: LaurentPoly(nvars, d))
-
-
-class TestRingLaws:
-    @settings(max_examples=60, deadline=None)
-    @given(small_laurent(2), small_laurent(2), small_laurent(2))
-    def test_mul_associative(self, a, b, c):
-        assert (a * b) * c == a * (b * c)
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_laurent(2), small_laurent(2))
-    def test_mul_commutative(self, a, b):
-        assert a * b == b * a
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_laurent(2), small_laurent(2), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
-    def test_coefficient_additive(self, a, b, kappa):
-        assert (a + b).coefficient(kappa) == a.coefficient(kappa) + b.coefficient(kappa)
 
 
 class TestZqPoly:

@@ -105,6 +105,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_evaluation_set((1, -1), (0,))
 
+    def test_size_shift_length_check(self):
+        for shift in ((0, 0, 5), (0,)):
+            with pytest.raises(ValueError, match="shift vector has wrong length"):
+                evaluation_set_size((1, -1), shift)
+
     def test_size_formula_matches_enumeration(self):
         for n in (2, 3):
             for delta in zero_sum(n, 3):

@@ -230,6 +230,11 @@ class TestNormalize:
         )
         assert result == expected
 
+    def test_build_rejects_negative_index(self):
+        identity = QExpr.identity(1)
+        with pytest.raises(InternalInconsistency):
+            QExpr.build(1, identity.parity, identity.qexp, {-a1() - 1: 1})
+
     def test_unpaired_factor_aborts(self):
         poch = q_multinomial_symbols(2)
         poch[a1(2) + 1] += 1  # nothing to pair against
