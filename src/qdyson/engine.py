@@ -117,7 +117,7 @@ def combine_sum(terms: Sequence[RationalQZ], n: int) -> RationalQZ:
         for atom, mult in t.denom:
             lcm[atom] = max(lcm[atom], mult)
     total = ZqPoly.sum_of(
-        n, (t.cleared_numer(lcm - t.denom_counter()) for t in terms)
+        n, [(t.cleared_numer(), lcm - t.denom_counter()) for t in terms]
     )
     return RationalQZ.make(1, RationalQZ.one(n).unit, total, lcm)
 

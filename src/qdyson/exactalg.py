@@ -9,7 +9,8 @@ Three sparse representations, all immutable in practice:
   one int to every key; division by an atom 1 - m is a single pass that sums
   coefficients along the lines of the exponent lattice in the direction of m.
   The packing is private: the constructor and ``items()`` take and give
-  ((qexp, zexp), coeff) pairs;
+  ((qexp, zexp), coeff) pairs.  ``ZqPoly.sum_of``, the one summation kernel,
+  factors out the atom most terms share and multiplies by it once, in place;
 * ``RationalQZ`` -- sign * monomial * polynomial over a multiset of
   denominator atoms 1 - q^c * z^v, never expanded.
 
@@ -45,10 +46,6 @@ class QPoly:
         for e, c in items:
             d[e] = d.get(e, 0) + c
         self.terms = _trimmed(d)
-
-    @staticmethod
-    def zero() -> "QPoly":
-        return QPoly()
 
     @staticmethod
     def one() -> "QPoly":
@@ -294,6 +291,51 @@ def _check_range(keys: Iterable[int], n: int) -> None:
         raise OverflowError(f"exponent outside [{-_BIAS}, {_BIAS})")
 
 
+def _exps_offset(n: int, qexp: int, zexp: Sequence[int]) -> int:
+    if len(zexp) != n:
+        raise DimensionMismatch("z-exponent vector has wrong length")
+    return _offset((qexp, *zexp))
+
+
+def _times_atom(terms: dict[int, int], n: int, atom: Atom) -> None:
+    """Multiply terms by 1 - m in place.  Keys are visited away from the
+    direction of m, so each is read before anything is written to it."""
+    off = _exps_offset(n, atom.qexp, atom.zexp)
+    _check_range(map(off.__add__, terms), n)
+    get = terms.get
+    for k in sorted(terms, reverse=off > 0):
+        t = k + off
+        s = get(t, 0) - terms[k]
+        if s:
+            terms[t] = s
+        else:
+            del terms[t]
+
+
+def _sum_into(acc: dict[int, int], n: int, pending: list) -> None:
+    """acc += sum of terms * prod(atom ** mult) over (terms, Counter) pairs."""
+    need = Counter(atom for _, atoms in pending for atom in atoms)
+    if not need:
+        get = acc.get
+        for terms, _ in pending:
+            for k, c in terms.items():
+                s = get(k, 0) + c
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+        return
+    atom = max(need, key=lambda a: (need[a], a.sort_key()))
+    one = Counter({atom: 1})
+    part = {} if acc else acc  # an empty acc takes the partial sum in place
+    _sum_into(part, n, [(t, atoms - one) for t, atoms in pending if atom in atoms])
+    _times_atom(part, n, atom)
+    if part is not acc:
+        _sum_into(acc, n, [(part, Counter())])
+    del part  # free the partial before summing the rest
+    _sum_into(acc, n, [p for p in pending if atom not in p[1]])
+
+
 class ZqPoly:
     """Sparse integer polynomial in q and z_1..z_n (Laurent exponents allowed).
 
@@ -315,7 +357,7 @@ class ZqPoly:
         d: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (qe, ze), c in items:
-            k = bias + self._exps_offset(qe, ze)
+            k = bias + _exps_offset(n, qe, ze)
             d[k] = d.get(k, 0) + c
         self._terms = _trimmed(d)
 
@@ -325,12 +367,6 @@ class ZqPoly:
         out.n = n
         out._terms = terms
         return out
-
-    def _exps_offset(self, qexp: int, zexp: Sequence[int]) -> int:
-        exps = (qexp, *zexp)
-        if len(exps) != self.n + 1:
-            raise DimensionMismatch("z-exponent vector has wrong length")
-        return _offset(exps)
 
     @staticmethod
     def zero(n: int) -> "ZqPoly":
@@ -364,28 +400,27 @@ class ZqPoly:
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self._terms.items())))
 
-    def _check(self, other: "ZqPoly"):
-        if self.n != other.n:
-            raise DimensionMismatch("z-variable counts differ")
-
     def __add__(self, other: "ZqPoly") -> "ZqPoly":
-        return ZqPoly.sum_of(self.n, (self, other))
+        return ZqPoly.sum_of(self.n, ((self, {}), (other, {})))
 
     @staticmethod
-    def sum_of(n: int, polys: Iterable["ZqPoly"]) -> "ZqPoly":
-        """The sum of polys, accumulated in one dict."""
-        d: dict[int, int] = {}
-        get = d.get
-        for p in polys:
+    def sum_of(
+        n: int, terms: Iterable[tuple["ZqPoly", Mapping[Atom, int]]]
+    ) -> "ZqPoly":
+        """Sum of poly * prod(atom ** mult) over (poly, {atom: mult}) pairs.
+
+        Multiplies late: the atom that the most pairs still need (ties to the
+        largest ``Atom.sort_key``) is factored out of their partial sum and
+        multiplied in once, before the other pairs are added.
+        """
+        pending = []
+        for p, atoms in terms:
             if p.n != n:
                 raise DimensionMismatch("z-variable counts differ")
-            for k, c in p._terms.items():
-                s = get(k, 0) + c
-                if s:
-                    d[k] = s
-                else:
-                    del d[k]
-        return ZqPoly._of(n, d)
+            pending.append((p._terms, +Counter(atoms)))
+        acc: dict[int, int] = {}
+        _sum_into(acc, n, pending)
+        return ZqPoly._of(n, acc)
 
     def __neg__(self) -> "ZqPoly":
         return ZqPoly._of(self.n, {k: -c for k, c in self._terms.items()})
@@ -400,7 +435,8 @@ class ZqPoly:
             })
         if not isinstance(other, ZqPoly):
             return NotImplemented
-        self._check(other)
+        if self.n != other.n:
+            raise DimensionMismatch("z-variable counts differ")
         bias = _layout(self.n).bias
         d: dict[int, int] = {}
         for k1, c1 in self._terms.items():
@@ -420,22 +456,12 @@ class ZqPoly:
         return ZqPoly._of(self.n, terms)
 
     def mul_monomial(self, qexp: int, zexp: Sequence[int], coeff: int = 1) -> "ZqPoly":
-        return self._shifted(self._exps_offset(qexp, zexp), coeff)
+        return self._shifted(_exps_offset(self.n, qexp, zexp), coeff)
 
     def mul_atom(self, atom: Atom) -> "ZqPoly":
         """Multiply by 1 - q^{atom.qexp} z^{atom.zexp}."""
-        off = self._exps_offset(atom.qexp, atom.zexp)
-        terms = self._terms
-        _check_range(map(off.__add__, terms), self.n)
-        d = dict(terms)
-        get = d.get
-        for k, c in terms.items():
-            k += off
-            s = get(k, 0) - c
-            if s:
-                d[k] = s
-            else:
-                del d[k]
+        d = dict(self._terms)
+        _times_atom(d, self.n, atom)
         return ZqPoly._of(self.n, d)
 
     def div_atom(self, atom: Atom) -> Optional["ZqPoly"]:
@@ -454,7 +480,7 @@ class ZqPoly:
         2**14 + (2**14 + 2**13) < 2**16, so no field can carry.
         """
         exps = (atom.qexp, *atom.zexp)
-        off = self._exps_offset(atom.qexp, atom.zexp)
+        off = _exps_offset(self.n, atom.qexp, atom.zexp)
         i = max(range(len(exps)), key=lambda j: abs(exps[j]))
         shift, step = _STRIDE * i, exps[i]
         terms = self._terms
@@ -595,10 +621,7 @@ class RationalQZ:
     def cleared_numer(self, extra_denom: Mapping[Atom, int] = ()) -> ZqPoly:
         """sign * unit * numer * prod(extra atoms) as a single ZqPoly."""
         poly = self.numer.mul_monomial(self.unit.qexp, self.unit.zexp, self.sign)
-        for atom, mult in dict(extra_denom).items():
-            for _ in range(mult):
-                poly = poly.mul_atom(atom)
-        return poly
+        return ZqPoly.sum_of(self.n, [(poly, dict(extra_denom))])
 
     def render(self, latex: bool = False) -> str:
         """Human-readable sign * unit * numer / atoms form."""

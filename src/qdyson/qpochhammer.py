@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Mapping, Optional, Sequence
 
 from .errors import InternalInconsistency, MixedSign
@@ -359,7 +360,12 @@ def q_pochhammer_numeric(e: int, f: int) -> QPoly:
 
 
 def q_multinomial_numeric(a: Sequence[int]) -> QPoly:
-    """(q)_{a_1+..+a_n} / prod (q)_{a_i}; the division is exact."""
+    """(q)_{a_1+..+a_n} / prod (q)_{a_i}, computed once per a; do not mutate it."""
+    return _q_multinomial(tuple(a))
+
+
+@cache
+def _q_multinomial(a: tuple[int, ...]) -> QPoly:
     if any(x < 0 for x in a):
         raise ValueError("multinomial arguments must be nonnegative")
     num = q_pochhammer_numeric(1, sum(a))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdyson.cli import dumps_canonical, formula_json
-from qdyson.errors import DenominatorVanishes
+from qdyson.errors import DenominatorVanishes, DimensionMismatch
 from qdyson.exactalg import (
     Atom,
     QPoly,
@@ -200,6 +200,66 @@ class TestPackedZqPoly:
             ZqPoly(1, {(-8000, (0,)): 1, (8000, (0,)): 1}).extract_unit()
         with pytest.raises(OverflowError):
             top.mul_monomial(0, (0, 8192))
+
+
+def atom_pool(n):
+    """Four atoms in n z-variables; 1 - q z1^-1 moves keys down, the rest up."""
+    last = (0,) * (n - 1)
+    return (
+        Atom(1, (0,) * n),
+        Atom(1, (1, *last)),
+        Atom(1, (-1, *last)),
+        Atom(2, (*last, 1)),
+    )
+
+
+@st.composite
+def sum_pairs(draw):
+    """n and 1-6 (small ZqPoly, {atom: multiplicity 0-2}) pairs."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(st.integers(-2, 2), st.tuples(*[st.integers(-2, 2)] * n))
+    polys = st.dictionaries(exps, st.integers(-3, 3), max_size=4)
+    atoms = st.tuples(*[st.integers(0, 2)] * 4)
+    pairs = [
+        (ZqPoly(n, terms), dict(zip(atom_pool(n), mults)))
+        for terms, mults in draw(st.lists(st.tuples(polys, atoms), min_size=1, max_size=6))
+    ]
+    return n, pairs
+
+
+class TestSumOf:
+    @settings(max_examples=150, deadline=None)
+    @given(sum_pairs())
+    def test_equals_multiply_then_add(self, case):
+        n, pairs = case
+        total = ZqPoly.sum_of(n, pairs)
+        ref = Counter()
+        for poly, atoms in pairs:
+            for atom, mult in atoms.items():
+                for _ in range(mult):
+                    poly = poly.mul_atom(atom)
+            for key, c in poly.items():
+                ref[key] += c
+        expected = {key: c for key, c in ref.items() if c}
+        assert dict(total.items()) == expected  # the inputs were not changed either
+
+    def test_exact_cancellation(self):
+        p = ZqPoly(2, {(0, (1, 0)): 3, (2, (0, -1)): -1})
+        atom = Atom(1, (1, 0))
+        assert ZqPoly.sum_of(2, [(p, {atom: 1}), (-p, {atom: 1})]).is_zero()
+
+    def test_overflow_raises(self):
+        top = ZqPoly(1, {(8191, (0,)): 1})
+        q = Atom(1, (0,))
+        with pytest.raises(OverflowError):  # the partial is built in place
+            ZqPoly.sum_of(1, [(top, {q: 1})])
+        other = {Atom(0, (1,)): 1}
+        with pytest.raises(OverflowError):  # the partial is a second dict
+            ZqPoly.sum_of(1, [(ZqPoly.one(1), other), (ZqPoly.one(1), other), (top, {q: 1})])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            ZqPoly.sum_of(2, [(ZqPoly.one(2), {}), (ZqPoly.one(3), {})])
 
 
 class TestSubstituteZ:

@@ -20,6 +20,8 @@ from qdyson.oracle import (
     verify_query,
     zero_sum_deltas,
 )
+from qdyson import qpochhammer
+from qdyson.engine import CoefficientQuery, coefficient_combined
 from qdyson.qpochhammer import q_multinomial_numeric
 
 
@@ -139,6 +141,26 @@ class TestVerify:
     def test_requires_positive_a(self):
         with pytest.raises(ValueError):
             verify_query((1, -1), (1, 0))
+
+    def test_q_multinomial_once_per_a(self, monkeypatch):
+        a = (2, 1, 3)
+        expansion = expand_qdyson_product(a)
+        d1, d2 = (1, -1, 0), (0, 1, -1)
+        r1, r2 = (
+            coefficient_combined(CoefficientQuery(delta=d, shift="zero")).rational
+            for d in (d1, d2)
+        )
+        calls = []
+        real = qpochhammer.q_pochhammer_numeric
+        monkeypatch.setattr(
+            qpochhammer, "q_pochhammer_numeric", lambda e, f: calls.append(f) or real(e, f)
+        )
+        qpochhammer._q_multinomial.cache_clear()
+        assert verify_query(d1, a, expansion=expansion, rational=r1).match
+        first = len(calls)
+        assert verify_query(d2, a, expansion=expansion, rational=r2).match
+        assert first > 0 and len(calls) == first
+        assert q_multinomial_numeric(list(a)) == q_multinomial_numeric(a)
 
 
 class TestGridOracle:
