@@ -180,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeff", help="compute the rational factor R for delta")
     add_common(p, delta=True)
     p.add_argument("--shift", default="auto", help="auto | zero | c1,c2,...")
-    p.add_argument("--radius", type=int, default=None)
     p.add_argument("--split", action="store_true", help="one term per point")
     p.add_argument(
         "--cross-check-shifts",
@@ -194,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("best-shift", help="minimize the evaluation-set size")
     add_common(p, delta=True)
-    p.add_argument("--radius", type=int, default=None)
 
     p = sub.add_parser("verify", help="compare against the brute-force oracle")
     add_common(p, delta=True)
@@ -211,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("article", help="self-contained theorem + computation trace")
     add_common(p, delta=True, formats=("text", "latex"))
     p.add_argument("--shift", default="auto")
-    p.add_argument("--radius", type=int, default=None)
     return parser
 
 
@@ -251,16 +248,19 @@ def _cross_check_failure(
 ) -> tuple[int, ...] | None:
     """The first other shift whose R differs from result's, or None.
 
-    Each distinct shift is split and combined once; the query's own shift
-    is not repeated.
+    Each distinct evaluation set is split and combined once; the query's own
+    set is not repeated.
     """
     n = query.n
     if query.shift == "best":
         best = split.shift_used
     else:
-        best = best_shift(query.delta, query.radius)[0]
-    done = {split.shift_used}
-    for alt in ((0,) * n, best, (1,) * n, (0,) + (1,) * (n - 1)):
+        best = best_shift(query.delta)[0]
+    # Shifts differing by a constant give the same set: x -> q*x scales the
+    # cleared product by q^((n-1)sigma) and prod phi'_i by q^(sum d_i), the
+    # same power, so every summand is unchanged.  Compare with c_1 = 0.
+    done = {tuple(c - split.shift_used[0] for c in split.shift_used)}
+    for alt in ((0,) * n, best, (0,) + (1,) * (n - 1)):
         if alt in done:
             continue
         done.add(alt)
@@ -276,7 +276,7 @@ def cmd_coeff(args) -> int:
     note = ""
     if sum(delta) != 0:
         note = "note: delta does not sum to zero; the coefficient is 0\n"
-    query = CoefficientQuery(delta=delta, shift=shift, radius=args.radius)
+    query = CoefficientQuery(delta=delta, shift=shift)
     split = coefficient_split(query)
     if not args.split or args.cross_check_shifts:
         result = combine(split)
@@ -317,7 +317,7 @@ def cmd_best_shift(args) -> int:
     delta = parse_int_vector(args.delta, "delta")
     if sum(delta) != 0:
         raise UsageError("--delta must sum to zero for best-shift")
-    shift, size = best_shift(delta, args.radius)
+    shift, size = best_shift(delta)
     if args.format == "json":
         body = dumps_canonical(
             {"delta": list(delta), "shift": list(shift), "size": size}
@@ -391,9 +391,7 @@ def cmd_article(args) -> int:
         raise UsageError("--delta must sum to zero for article output")
     shift = parse_shift(args.shift, n)
     latex = args.format == "latex"
-    split = coefficient_split(
-        CoefficientQuery(delta=delta, shift=shift, radius=args.radius)
-    )
+    split = coefficient_split(CoefficientQuery(delta=delta, shift=shift))
     result = combine(split)
 
     lines = []

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import InternalInconsistency, UsageError
+from .errors import InternalInconsistency
 from .exactalg import RationalQZ, ZqPoly
 from .latticepoints import (
     EvaluationPoint,
@@ -35,13 +35,11 @@ ShiftPolicy = Union[str, tuple[int, ...]]
 class CoefficientQuery:
     """Which coefficient to compute and which grid shift to use.
 
-    shift is "zero", "best", or an explicit integer vector; radius bounds
-    the best-shift search (None for the default).
+    shift is "zero", "best", or an explicit integer vector.
     """
 
     delta: tuple[int, ...]
     shift: ShiftPolicy = "best"
-    radius: int | None = None
 
     @property
     def n(self) -> int:
@@ -53,14 +51,12 @@ class CoefficientQuery:
                 raise ValueError(f"unknown shift policy {self.shift!r}")
         elif len(self.shift) != len(self.delta):
             raise ValueError("shift vector has wrong length")
-        if self.radius is not None and self.radius < 1:
-            raise UsageError("radius must be positive")
 
     def resolve_shift(self) -> tuple[int, ...]:
         if self.shift == "zero":
             return (0,) * self.n
         if self.shift == "best":
-            return best_shift(self.delta, self.radius)[0]
+            return best_shift(self.delta)[0]
         return tuple(self.shift)
 
 

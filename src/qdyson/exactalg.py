@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 from .errors import DenominatorVanishes, DimensionMismatch
 
 
-def _trimmed(d: dict) -> dict:
+def _trimmed(d: Mapping) -> dict:
     return {k: v for k, v in d.items() if v}
 
 
@@ -40,12 +40,8 @@ class QPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        d: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for e, c in items:
-            d[e] = d.get(e, 0) + c
-        self.terms = _trimmed(d)
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        self.terms = _trimmed(terms) if terms else {}
 
     @staticmethod
     def one() -> "QPoly":
@@ -81,7 +77,7 @@ class QPoly:
         d = dict(self.terms)
         for e, c in other.terms.items():
             d[e] = d.get(e, 0) + c
-        return QPoly(_trimmed(d))
+        return QPoly(d)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + (-other)
@@ -101,7 +97,7 @@ class QPoly:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 d[e] = d.get(e, 0) + c1 * c2
-        return QPoly(_trimmed(d))
+        return QPoly(d)
 
     __rmul__ = __mul__
 

@@ -5,8 +5,9 @@ and a budget vector m of nonnegative integers: the sorted values climb by
 a_{pi(r)} + [pi(r) > pi(r+1)] plus slack m, and the total slack is bounded
 by delta_{pi(n)} - des(pi) plus the shift difference.  The parametrization
 is independent of the symbolic a_i, so the whole set is enumerated once per
-delta and shift.  Sizing and the shift search (exact over the radius box for
-every n) read a per-n count of permutations by first, last letter and descents.
+delta and shift.  Sizing and the shift search (exact over the box
+|c_i| <= max(1, max|delta_i|) + 1 for every n) read a per-n count of
+permutations by first, last letter and descents.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import permutations
 from math import comb, inf
 from typing import Iterator, Optional, Sequence
 
-from .errors import DuplicatePoint, UsageError
+from .errors import DuplicatePoint
 from .qpochhammer import GridSpec
 from .symforms import AffineForm
 
@@ -143,17 +144,12 @@ def evaluation_set_size(
     )
 
 
-def default_radius(delta: Sequence[int]) -> int:
-    return max(1, max((abs(d) for d in delta), default=0)) + 1
-
-
-def best_shift(
-    delta: Sequence[int], radius: int | None = None
-) -> tuple[tuple[int, ...], int]:
-    """A shift minimizing |S_delta|, exact over the radius box for every n.
+def best_shift(delta: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """A shift minimizing |S_delta|, exact over the box
+    |c_i| <= max(1, max|delta_i|) + 1 for every n.
 
     Only shift differences matter, so the first coordinate is pinned to 0; the
-    others range over [-radius, radius].  Ties go to the lexicographically
+    others range over the box.  Ties go to the lexicographically
     smallest shift, comparing coordinates by magnitude first so that the zero
     shift wins all-way ties.  A budget depends on the shift only through
     c_last - c_first, so |S| is a sum of pair costs cost[i, j][c_j - c_i].  A
@@ -163,9 +159,7 @@ def best_shift(
     n = len(delta)
     if sum(delta) != 0:
         raise ValueError("delta must sum to zero")
-    radius = default_radius(delta) if radius is None else radius
-    if radius < 1:
-        raise UsageError("radius must be positive")
+    radius = max(1, max((abs(d) for d in delta), default=0)) + 1
     span = 2 * radius
     cost = {(i, j): [0] * (2 * span + 1) for j in range(n) for i in range(j)}
     for (f, l, k), count in _descent_table(n):

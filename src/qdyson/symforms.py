@@ -203,13 +203,6 @@ class QuadForm:
     def __neg__(self) -> "QuadForm":
         return QuadForm(self.n, tuple(-t for t in self.twice))
 
-    def scale(self, k) -> "QuadForm":
-        """Multiply by a rational k; the result must stay in (1/2)Z."""
-        num, den = k.numerator, k.denominator
-        if any(t * num % den for t in self.twice):
-            raise ValueError(f"scaling {self} by {k} leaves (1/2)Z")
-        return QuadForm(self.n, tuple(t * num // den for t in self.twice))
-
     def evaluate(self, a: Sequence[int]) -> "Fraction":
         """The exact value at a; only numeric checks need it."""
         from fractions import Fraction

@@ -543,6 +543,15 @@ class TestOnePipeline:
         )
         assert code == EXIT_OK
         assert len(best) == 1
-        assert [s.shift_used for s in splits] == [
-            (0, 1, 0), (0, 0, 0), (1, 1, 1), (0, 1, 1)
-        ]
+        assert [s.shift_used for s in splits] == [(0, 1, 0), (0, 0, 0), (0, 1, 1)]
+
+    def test_cross_check_skips_a_constant_offset_of_the_own_shift(
+        self, capsys, monkeypatch
+    ):
+        splits = spy(monkeypatch, "coefficient_split")
+        code, _, _ = run(
+            capsys, "coeff", "--delta", "1,-1,0", "--shift", "1,1,1",
+            "--cross-check-shifts",
+        )
+        assert code == EXIT_OK
+        assert [s.shift_used for s in splits] == [(1, 1, 1), (0, 1, 0), (0, 1, 1)]

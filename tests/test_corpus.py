@@ -1,9 +1,9 @@
 """The pinned formula corpus: every entry recomputes byte for byte.
 
 ``perfbench/data/formulas.tsv`` holds the canonical JSON of R for the n = 4
-pool (all zero-sum deltas with sum |d| <= 4, pinned under the zero shift)
-and the n = 5 pool (pinned under the default best shift).  This test only
-reads the file.
+pool (all zero-sum deltas with sum |d| <= 4, pinned under the zero shift
+and recomputed under the best shift too) and the n = 5 pool (pinned under
+the default best shift).  This test only reads the file.
 """
 
 from pathlib import Path
@@ -41,6 +41,13 @@ def test_n4_pool_recomputes_byte_identical():
     pinned = pinned_pool(4)
     assert len(pinned) == 54
     assert mismatched(pinned, "zero") == []
+
+
+def test_n4_pool_best_shift_gives_the_zero_shift_bytes():
+    # best is a different evaluation set from zero on most deltas; R's
+    # canonical bytes must not depend on which set produced it
+    pinned = pinned_pool(4)
+    assert mismatched(pinned, "best") == []
 
 
 def test_n5_pool_recomputes_byte_identical():

@@ -1,9 +1,11 @@
 """Coefficient pipeline: split terms, combined rational function, delta = 0."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
+from qdyson.cli import formula_json
 from qdyson.engine import (
     CoefficientQuery,
     coefficient_combined,
@@ -93,6 +95,32 @@ class TestCombined:
                     CoefficientQuery(delta=delta, shift=shift)
                 ).rational
                 assert equivalent(base, other), (delta, shift)
+
+
+def split_summands(delta, shift):
+    split = coefficient_split(CoefficientQuery(delta=delta, shift=shift))
+    return [(pt.pi, pt.m, formula_json(r)) for pt, r in split.terms]
+
+
+class TestConstantOffset:
+    """Shifts that differ by a constant give the same summands, which lets
+    the shift cross-check compare shifts with c_1 = 0 only."""
+
+    BASES = {1: (1,), 2: (0, 1), 3: (0, -1, 1), 4: (0, 0, 1, 0)}
+
+    def test_summands_unchanged(self):
+        deltas = [
+            d
+            for n in (1, 2, 3)
+            for d in product(range(-4, 5), repeat=n)
+            if sum(d) == 0 and sum(map(abs, d)) <= 4
+        ] + [(-2, 0, 0, 2), (1, 0, -1, 0), (2, -2, 0, 0)]
+        for delta in deltas:
+            base = self.BASES[len(delta)]
+            expected = split_summands(delta, base)
+            for k in (-2, 1, 3):
+                moved = tuple(c + k for c in base)
+                assert split_summands(delta, moved) == expected, (delta, k)
 
 
 class TestCombineSum:

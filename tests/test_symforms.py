@@ -128,21 +128,16 @@ class TestQuadForm:
         form = AffineForm(-2, (0, 5, 1))
         assert quad_finalize(QuadForm.from_affine(form)) == form
 
-    def test_scale_stays_in_half_integers(self):
-        q = QuadForm.choose2(AffineForm(0, (1,)))  # (a1^2 - a1) / 2
-        assert q.scale(2) == QuadForm.from_product(AffineForm(0, (1,)), AffineForm(-1, (1,)))
-        with pytest.raises(ValueError):
-            q.scale(Fraction(1, 2))
-
     def test_finalize_rejects_quadratic_residue(self):
-        residue = QuadForm.choose2(AffineForm(0, (1,))) + QuadForm.from_affine(
-            AffineForm(0, (1,))
-        ).scale(Fraction(1, 2))
+        half_square = QuadForm(1, (0, 0, 1))  # a1^2/2
+        # (a1^2 - a1)/2 - a1^2/2 leaves -a1/2
+        residue = QuadForm.choose2(AffineForm(0, (1,))) - half_square
+        assert residue == QuadForm(1, (0, -1, 0))
         # a1^2/2 alone survives as a quadratic term
-        with pytest.raises(InternalInconsistency):
-            quad_finalize(QuadForm.from_product(AffineForm(0, (1,)), AffineForm(0, (1,))).scale(Fraction(1, 2)))
-        with pytest.raises(InternalInconsistency):
-            quad_finalize(residue)  # leftover a1/2 is non-integral
+        with pytest.raises(InternalInconsistency, match="quadratic"):
+            quad_finalize(half_square)
+        with pytest.raises(InternalInconsistency, match="non-integral"):
+            quad_finalize(residue)
 
 
 @st.composite
