@@ -14,12 +14,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, UsageError
 from .exactalg import RationalQZ, ZqPoly
 from .latticepoints import (
     EvaluationPoint,
     best_shift,
     enumerate_evaluation_set,
+    evaluation_set_size,
 )
 from .qpochhammer import (
     QExpr,
@@ -29,6 +30,10 @@ from .qpochhammer import (
 )
 
 ShiftPolicy = Union[str, tuple[int, ...]]
+
+# The largest evaluation set a query may enumerate.  The n = 6 ladder's
+# zero-shift set holds 277 points; each point costs milliseconds or more.
+MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,12 @@ def coefficient_split(query: CoefficientQuery) -> SplitResult:
     if sum(query.delta) != 0:
         return SplitResult(terms=(), shift_used=(0,) * n, delta=query.delta)
     shift = query.resolve_shift()
+    size = evaluation_set_size(query.delta, shift)
+    if size > MAX_POINTS:
+        raise UsageError(
+            f"shift {list(shift)} gives {size:,} evaluation points, "
+            f"more than the {MAX_POINTS:,} this library enumerates"
+        )
     evalset = enumerate_evaluation_set(query.delta, shift)
     terms = tuple(
         (pt, point_rational(pt, evalset.grid, n)) for pt in evalset.points

@@ -44,6 +44,13 @@ class QPoly:
         self.terms = _trimmed(terms) if terms else {}
 
     @staticmethod
+    def _of(terms: dict[int, int]) -> "QPoly":
+        """A QPoly on terms that hold no zero coefficient, without a copy."""
+        out = QPoly.__new__(QPoly)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def one() -> "QPoly":
         return QPoly({0: 1})
 
@@ -158,6 +165,24 @@ class QPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _times_one_minus(terms: dict[int, int], off: int, shift: int = 0) -> None:
+    """Multiply terms by 1 - m in place, where m adds off to a key and
+    multiplies its value by 2**shift.  Keys are visited away from the
+    direction of off, so each is read before anything is written to it.
+
+    Only the oracle side uses it (the expansion and ``substitute_z``); the
+    engine's ZqPoly multiplies by ``_times_atom``, so the check shares no
+    kernel with what it checks."""
+    get = terms.get
+    for k in sorted(terms, reverse=off > 0):
+        t = k + off
+        s = get(t, 0) - (terms[k] << shift)
+        if s:
+            terms[t] = s
+        else:
+            del terms[t]
 
 
 def equal_as_rational(
@@ -650,13 +675,13 @@ def substitute_z(r: RationalQZ, a: Sequence[int]) -> tuple[QPoly, QPoly]:
         return QPoly(), QPoly.one()
     num = r.numer.substitute_z(a) * r.sign
     num = num.shift(r.unit.qexp + sum(x * y for x, y in zip(r.unit.zexp, a)))
-    den = QPoly.one()
+    den = {0: 1}
     for atom, mult in r.denom:
         e = atom.qexp + sum(x * y for x, y in zip(atom.zexp, a))
-        factor = QPoly({0: 1, e: -1}) if e != 0 else QPoly()
-        if factor.is_zero():
+        if e == 0:
             raise DenominatorVanishes(
                 f"atom 1 - q^{atom.qexp} z^{atom.zexp} vanishes at a={tuple(a)}"
             )
-        den = den * factor ** mult
-    return num, den
+        for _ in range(mult):
+            _times_one_minus(den, e)
+    return num, QPoly._of(den)

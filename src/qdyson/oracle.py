@@ -3,9 +3,11 @@
 The oracle never touches the symbolic pipeline: it expands the q-Dyson
 product as an explicit Laurent polynomial, reads coefficients off directly,
 and compares them (as exact rational functions of q) with the specialized
-engine output.  A separate exact-rational grid-sum oracle realizes the
-coefficient formula of the combinatorial Nullstellensatz for plain
-polynomials over the rationals.
+engine output.  The expansion keys each x-exponent vector by one packed int
+(the layout of ``exactalg``'s ZqPoly keys) and holds its whole q-polynomial
+as one int, q -> 2**width; it returns {x-exponent tuple: QPoly}.  A separate
+exact-rational grid-sum oracle realizes the coefficient formula of the
+combinatorial Nullstellensatz for plain polynomials over the rationals.
 """
 
 from __future__ import annotations
@@ -15,53 +17,82 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product, repeat
 from math import prod
-from operator import add
+from operator import add, lshift
+from struct import unpack
 from typing import Mapping, Sequence
 
 from .engine import CoefficientQuery, ShiftPolicy, coefficient_combined
 from .errors import DuplicateNode, QDysonError, UsageError
-from .exactalg import QPoly, RationalQZ, equal_as_rational, substitute_z
+from .exactalg import (
+    _BIAS,
+    QPoly,
+    RationalQZ,
+    _layout,
+    _offset,
+    _times_one_minus,
+    equal_as_rational,
+    substitute_z,
+)
 from .qpochhammer import q_multinomial_numeric
 
 
-def _times_binomial(
-    poly: dict[tuple[int, ...], dict[int, int]], t: int, v: tuple[int, ...]
-) -> dict[tuple[int, ...], dict[int, int]]:
-    """poly * (1 - q^t x^v) on {x-exponent: {q-exponent: coeff}}."""
-    out = {e: dict(c) for e, c in poly.items()}
-    for e, coeffs in poly.items():
-        target = out.setdefault(tuple(map(add, e, v)), {})
-        for k, c in coeffs.items():
-            s = target.get(k + t, 0) - c
-            if s:
-                target[k + t] = s
-            else:
-                del target[k + t]
-    return {e: c for e, c in out.items() if c}
+def _decode(packed: int, width: int, bias: int) -> QPoly:
+    """The QPoly whose coefficient of q^k is the k-th width-bit signed digit
+    of packed (each below 2**(width - 2) in magnitude).
+
+    bias holds 2**63 in every 64-bit word of at least as many slots as packed
+    needs.  Adding it makes every slot nonnegative and below 2**width, so no
+    slot borrows from the next; the XOR then leaves each word as its value
+    minus 2**63, a signed 64-bit word s_j, and a slot's digit is
+    sum_j s_j * 2**(64 j).
+    """
+    slots = packed.bit_length() // width + 1
+    limbs = width // 64
+    raw = ((packed + bias) ^ bias).to_bytes(slots * width // 8, "little")
+    words = unpack(f"<{slots * limbs}q", raw)
+    digits = words[limbs - 1 :: limbs]
+    for j in reversed(range(limbs - 1)):
+        digits = tuple(map(add, map(lshift, digits, repeat(64)), words[j::limbs]))
+    return QPoly._of(dict(compress(enumerate(digits), digits)))
 
 
 def expand_qdyson_product(a: Sequence[int]) -> dict[tuple[int, ...], QPoly]:
     """Exact Laurent expansion of prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j},
-    as {x-exponent vector: coefficient}; absent vectors have coefficient 0."""
+    as {x-exponent vector: coefficient}; absent vectors have coefficient 0.
+
+    The product is built one binomial 1 - q^t x^v at a time, on a dict from
+    packed x-exponent keys (``exactalg``'s layout) to each key's whole
+    q-polynomial as one int, under the Kronecker substitution q -> 2**width.
+    The product of N = (n-1) * sum(a) binomials has L1 norm at most 2**N, so
+    every coefficient of every partial product fits a signed slot of width
+    bits once width >= N + 2; width is that, rounded up to a multiple of 64.
+    """
     n = len(a)
     if n < 1:
         raise ValueError("need at least one variable")
     if any(x < 0 for x in a):
         raise ValueError("the a_i must be nonnegative")
-    out = {(0,) * n: {0: 1}}
+    # |exponent of x_i| is at most the number of binomials that touch x_i;
+    # _offset raises OverflowError if that leaves the packed field range
+    _offset([(n - 2) * x + sum(a) for x in a])
+    width = 64 * (((n - 1) * sum(a) + 65) // 64)
+    layout = _layout(n - 1)
+    out = {layout.bias: 1}
     for i in range(n):
         for j in range(i + 1, n):
-            up = tuple((k == i) - (k == j) for k in range(n))
-            down = tuple(-x for x in up)
-            for t in range(a[i]):
-                out = _times_binomial(out, t, up)
-            for t in range(1, a[j] + 1):
-                out = _times_binomial(out, t, down)
-    for e, coeffs in out.items():
-        out[e] = QPoly(coeffs)
-    return out
+            up = _offset([(k == i) - (k == j) for k in range(n)])
+            factors = [(up, t) for t in range(a[i])]
+            factors += [(-up, t) for t in range(1, a[j] + 1)]
+            for off, t in factors:
+                _times_one_minus(out, off, t * width)
+    words = (max(map(int.bit_length, out.values())) // width + 1) * width // 64
+    bias = int.from_bytes((1 << 63).to_bytes(8, "little") * words, "little")
+    return {
+        tuple(map((-_BIAS).__add__, row)): _decode(packed, width, bias)
+        for row, packed in zip(layout.rows(out), out.values())
+    }
 
 
 def dyson_coefficient(
@@ -112,19 +143,20 @@ def verify_query(
     if any(x < 1 for x in a):
         raise ValueError("the symbolic engine requires all a_i >= 1")
     start = time.perf_counter()
-    oracle = dyson_coefficient(a, delta, expansion)
     try:
         if rational is None:
             rational = coefficient_combined(
                 CoefficientQuery(delta=delta, shift=shift)
             ).rational
         num, den = _engine_value(rational, a)
-        match = equal_as_rational((num, den), (oracle, QPoly.one()))
         error = ""
+    except UsageError:
+        raise  # bad input, not an engine fault: fail before the expansion
     except QDysonError as exc:
         num, den = QPoly(), QPoly.one()
-        match = False
         error = f"{type(exc).__name__}: {exc}"
+    oracle = dyson_coefficient(a, delta, expansion)
+    match = not error and equal_as_rational((num, den), (oracle, QPoly.one()))
     return VerificationReport(
         delta=delta,
         a=a,

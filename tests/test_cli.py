@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import time
 
 import pytest
 
@@ -63,6 +64,25 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         code, _, _ = run(capsys, "verify", "--delta", "1,-1", "--a", "1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (("coeff", "--delta=1,-1", "--shift", "9000,0"), "40,513,501"),
+            # sized before the oracle expands a = (3,3,3,3,3), which takes seconds
+            (
+                ("verify", "--delta=1,-1,0,0,0", "--a", "3,3,3,3,3",
+                 "--shift", "9000,0,0,0,0"),
+                "11,819,644,659,486,035,701",
+            ),
+        ],
+    )
+    def test_oversized_shift_fails_fast(self, capsys, argv, size):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: ") and f" {size} evaluation points" in err
 
     def test_best_shift_requires_zero_sum(self, capsys):
         code, _, _ = run(capsys, "best-shift", "--delta", "1,1")

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from qdyson import engine
 from qdyson.cli import formula_json
 from qdyson.engine import (
     CoefficientQuery,
@@ -14,7 +15,9 @@ from qdyson.engine import (
     constant_term_identity,
     equivalent,
 )
+from qdyson.errors import UsageError
 from qdyson.exactalg import Atom, RationalQZ, ZqMonomial, ZqPoly
+from qdyson.latticepoints import evaluation_set_size
 
 
 def rq(n, sign, numer_terms, denom):
@@ -63,6 +66,17 @@ class TestSplit:
     def test_unbalanced_delta_is_empty(self):
         split = coefficient_split(CoefficientQuery(delta=(1, 0), shift="zero"))
         assert split.terms == ()
+
+    def test_evaluation_set_budget(self, monkeypatch):
+        with pytest.raises(UsageError, match="40,513,501 evaluation points"):
+            coefficient_split(CoefficientQuery(delta=(1, -1), shift=(9000, 0)))
+        query = CoefficientQuery(delta=(2, -1, -1), shift="zero")
+        size = evaluation_set_size(query.delta, query.resolve_shift())
+        monkeypatch.setattr(engine, "MAX_POINTS", size)
+        assert len(coefficient_split(query).terms) == size
+        monkeypatch.setattr(engine, "MAX_POINTS", size - 1)
+        with pytest.raises(UsageError):
+            coefficient_split(query)
 
     def test_split_sums_to_combined(self):
         for delta in ((1, -1, 0), (2, -2), (1, 1, -2)):

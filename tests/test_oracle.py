@@ -49,6 +49,22 @@ def schoolbook_expansion(a):
     return out
 
 
+def q_binomial_row(m):
+    """[m; j]_q for j = 0..m, by [m; j+1] = [m; j] (1 - q^(m-j)) / (1 - q^(j+1)),
+    on dense coefficient lists."""
+    rows = [[1]]
+    for j in range(m):
+        up, down = m - j, j + 1
+        f = rows[-1] + [0] * up
+        for k, c in enumerate(rows[-1]):
+            f[k + up] -= c
+        for k in range(down, len(f)):  # g = f / (1 - q^down): g_k = f_k + g_(k-down)
+            f[k] += f[k - down]
+        assert not any(f[-down:])
+        rows.append(f[:-down])
+    return [QPoly(dict(enumerate(r))) for r in rows]
+
+
 class TestExpansion:
     def test_single_variable(self):
         assert expand_qdyson_product((5,)) == {(0,): QPoly.one()}
@@ -83,6 +99,27 @@ class TestExpansion:
         assert all(not c.is_zero() and sum(e) == 0 for e, c in expansion.items())
         flat = {(e, k): c for e, poly in expansion.items() for k, c in poly.items()}
         assert flat == schoolbook_expansion(a)
+
+    @pytest.mark.parametrize("a", [(3, 5), (7, 2), (33, 34), (40, 40)])
+    def test_two_variables_match_triple_product(self, a):
+        # x1^k x2^-k has coefficient (-1)^k q^(k(k-1)/2) [a1+a2; a2+k]_q;
+        # (33, 34) multiplies N = 67 binomials, so its q-slots are 128 bits
+        # wide, and (40, 40) has coefficients past 2^64
+        a1, a2 = a
+        binomial = q_binomial_row(a1 + a2)
+        expected = {
+            (k, -k): binomial[a2 + k].shift(k * (k - 1) // 2) * (-1) ** (k % 2)
+            for k in range(-a2, a1 + 1)
+        }
+        expansion = expand_qdyson_product(a)
+        assert expansion == expected
+        assert all(0 not in c.terms.values() for c in expansion.values())
+
+    def test_wide_slot_constant_term(self):
+        # N = 2 * 33 = 66 binomials: 128-bit q-slots
+        expansion = expand_qdyson_product((11, 11, 11))
+        assert expansion[(0, 0, 0)] == q_multinomial_numeric((11, 11, 11))
+        assert all(0 not in c.terms.values() for c in expansion.values())
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
