@@ -45,7 +45,6 @@ from .latticepoints import (
     descent_count,
     enumerate_evaluation_set,
     evaluation_set_size,
-    vanishing_condition_holds,
 )
 from .oracle import (
     SweepConfig,

@@ -2,7 +2,9 @@
 
 Three sparse representations, all immutable in practice:
 
-* ``QPoly`` -- integer Laurent polynomial in q;
+* ``QPoly`` -- integer Laurent polynomial in q.  A product is one big-int
+  multiply: each factor is packed into one int under the Kronecker
+  substitution q -> 2**width, and the product's digits are decoded;
 * ``ZqPoly`` -- integer polynomial in q and z_1..z_n, Laurent exponents
   allowed (z_i stands for q^{a_i}).  Each exponent vector is packed into one
   int key with a 16-bit field per variable, so multiplying by a monomial adds
@@ -23,9 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import repeat
-from operator import mul, or_
-from struct import Struct
+from itertools import compress, repeat
+from operator import add, lshift, mul, or_
+from struct import Struct, unpack
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DenominatorVanishes, DimensionMismatch
@@ -99,12 +101,19 @@ class QPoly:
             return QPoly({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, QPoly):
             return NotImplemented
-        d: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                d[e] = d.get(e, 0) + c1 * c2
-        return QPoly(d)
+        f, g = self.terms, other.terms
+        if not f or not g:
+            return QPoly()
+        # each product coefficient sums at most min(len) products of two
+        # coefficients, so it is below 2**bound in magnitude; width leaves
+        # the two bits above bound that _unpack_q needs
+        bound = (min(len(f), len(g)) * max(map(abs, f.values()))
+                 * max(map(abs, g.values()))).bit_length()
+        width = 64 * ((bound + 65) // 64)
+        low_f, low_g = min(f), min(g)
+        return _unpack_q(
+            _pack_q(f, low_f, width) * _pack_q(g, low_g, width), width, low_f + low_g
+        )
 
     __rmul__ = __mul__
 
@@ -165,6 +174,37 @@ class QPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+# Kronecker substitution q -> 2**width: a q-polynomial whose exponents start
+# at low is the int sum_k c_k 2**(width * (k - low)).  width is a multiple of
+# 64 with every |c_k| <= 2**(width - 2), so each slot holds its digit exactly.
+_WORD_BIAS = (1 << 63).to_bytes(8, "little")
+
+
+def _pack_q(terms: Mapping[int, int], low: int, width: int) -> int:
+    """The int sum_e c_e 2**(width * (e - low)) of the terms {e: c_e}."""
+    return sum(c << width * (e - low) for e, c in terms.items())
+
+
+def _unpack_q(packed: int, width: int, low: int = 0) -> QPoly:
+    """The QPoly sum_k d_k q^(low + k), where d_k is the k-th signed
+    width-bit digit of packed (each at most 2**(width - 2) in magnitude).
+
+    Adding 2**63 to every 64-bit word of packed's slots makes each slot
+    nonnegative and below 2**width, so no slot borrows from the next; the
+    XOR then leaves each word as its value minus 2**63, a signed 64-bit word
+    s_j, and a slot's digit is sum_j s_j * 2**(64 j).
+    """
+    slots = packed.bit_length() // width + 1
+    limbs = width // 64
+    bias = int.from_bytes(_WORD_BIAS * (slots * limbs), "little")
+    raw = ((packed + bias) ^ bias).to_bytes(slots * width // 8, "little")
+    words = unpack(f"<{slots * limbs}q", raw)
+    digits = words[limbs - 1 :: limbs]
+    for j in reversed(range(limbs - 1)):
+        digits = tuple(map(add, map(lshift, digits, repeat(64)), words[j::limbs]))
+    return QPoly._of(dict(compress(enumerate(digits, low), digits)))
 
 
 def _times_one_minus(terms: dict[int, int], off: int, shift: int = 0) -> None:
@@ -449,27 +489,6 @@ class ZqPoly:
     def __sub__(self, other: "ZqPoly") -> "ZqPoly":
         return self + (-other)
 
-    def __mul__(self, other) -> "ZqPoly":
-        if isinstance(other, int):
-            return ZqPoly._of(self.n, {} if other == 0 else {
-                k: c * other for k, c in self._terms.items()
-            })
-        if not isinstance(other, ZqPoly):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch("z-variable counts differ")
-        bias = _layout(self.n).bias
-        d: dict[int, int] = {}
-        for k1, c1 in self._terms.items():
-            k1 -= bias
-            for k2, c2 in other._terms.items():
-                k = k1 + k2
-                d[k] = d.get(k, 0) + c1 * c2
-        _check_range(d, self.n)
-        return ZqPoly._of(self.n, _trimmed(d))
-
-    __rmul__ = __mul__
-
     def _shifted(self, off: int, coeff: int) -> "ZqPoly":
         """coeff * self with every key moved by off."""
         terms = {k + off: c * coeff for k, c in self._terms.items()}
@@ -627,16 +646,6 @@ class RationalQZ:
             unit * mono,
             reduced,
             tuple(sorted(remaining.items(), key=lambda kv: kv[0].sort_key())),
-        )
-
-    def __mul__(self, other: "RationalQZ") -> "RationalQZ":
-        if not isinstance(other, RationalQZ):
-            return NotImplemented
-        return RationalQZ.make(
-            self.sign * other.sign,
-            self.unit * other.unit,
-            self.numer * other.numer,
-            self.denom_counter() + other.denom_counter(),
         )
 
     def cleared_numer(self, extra_denom: Mapping[Atom, int] = ()) -> ZqPoly:

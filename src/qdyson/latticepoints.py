@@ -189,17 +189,3 @@ def best_shift(delta: Sequence[int]) -> tuple[tuple[int, ...], int]:
     search(1, 0)
     return best[0], evaluation_set_size(delta, best[0])
 
-
-def vanishing_condition_holds(
-    alpha: Sequence[int], a: Sequence[int]
-) -> bool:
-    """True iff some pair i<j satisfies -(a_i-1) <= alpha_i - alpha_j <= a_j,
-    which forces the cleared product to vanish at q^alpha."""
-    if len(alpha) != len(a):
-        raise ValueError("vectors have different lengths")
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if -(a[i] - 1) <= alpha[i] - alpha[j] <= a[j]:
-                return True
-    return False

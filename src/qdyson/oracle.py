@@ -5,7 +5,9 @@ product as an explicit Laurent polynomial, reads coefficients off directly,
 and compares them (as exact rational functions of q) with the specialized
 engine output.  The expansion keys each x-exponent vector by one packed int
 (the layout of ``exactalg``'s ZqPoly keys) and holds its whole q-polynomial
-as one int, q -> 2**width; it returns {x-exponent tuple: QPoly}.  A separate
+as one int, q -> 2**width.  It returns a read-only mapping
+{x-exponent tuple: QPoly} that decodes a coefficient only when it is read,
+so a query decodes one key, not the whole product.  A separate
 exact-rational grid-sum oracle realizes the coefficient formula of the
 combinatorial Nullstellensatz for plain polynomials over the rationals.
 """
@@ -14,14 +16,12 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product, repeat
+from itertools import product
 from math import prod
-from operator import add, lshift
-from struct import unpack
-from typing import Mapping, Sequence
 
 from .engine import CoefficientQuery, ShiftPolicy, coefficient_combined
 from .errors import DuplicateNode, QDysonError, UsageError
@@ -32,33 +32,39 @@ from .exactalg import (
     _layout,
     _offset,
     _times_one_minus,
-    equal_as_rational,
+    _unpack_q,
     substitute_z,
 )
 from .qpochhammer import q_multinomial_numeric
 
 
-def _decode(packed: int, width: int, bias: int) -> QPoly:
-    """The QPoly whose coefficient of q^k is the k-th width-bit signed digit
-    of packed (each below 2**(width - 2) in magnitude).
+class _Expansion(Mapping):
+    """A read-only {x-exponent tuple: QPoly} over the packed product: a
+    lookup packs its tuple into a key and decodes that key's q-polynomial
+    only; iteration reads the packed keys."""
 
-    bias holds 2**63 in every 64-bit word of at least as many slots as packed
-    needs.  Adding it makes every slot nonnegative and below 2**width, so no
-    slot borrows from the next; the XOR then leaves each word as its value
-    minus 2**63, a signed 64-bit word s_j, and a slot's digit is
-    sum_j s_j * 2**(64 j).
-    """
-    slots = packed.bit_length() // width + 1
-    limbs = width // 64
-    raw = ((packed + bias) ^ bias).to_bytes(slots * width // 8, "little")
-    words = unpack(f"<{slots * limbs}q", raw)
-    digits = words[limbs - 1 :: limbs]
-    for j in reversed(range(limbs - 1)):
-        digits = tuple(map(add, map(lshift, digits, repeat(64)), words[j::limbs]))
-    return QPoly._of(dict(compress(enumerate(digits), digits)))
+    def __init__(self, packed: dict[int, int], n: int, width: int):
+        self._packed = packed
+        self._layout = _layout(n - 1)
+        self._n = n
+        self._width = width
+
+    def __getitem__(self, exps: tuple[int, ...]) -> QPoly:
+        try:
+            key = self._layout.bias + _offset(exps) if len(exps) == self._n else None
+            return _unpack_q(self._packed[key], self._width)
+        except (KeyError, OverflowError):  # absent, or outside the packed range
+            raise KeyError(exps) from None
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        for row in self._layout.rows(self._packed):
+            yield tuple(map((-_BIAS).__add__, row))
+
+    def __len__(self) -> int:
+        return len(self._packed)
 
 
-def expand_qdyson_product(a: Sequence[int]) -> dict[tuple[int, ...], QPoly]:
+def expand_qdyson_product(a: Sequence[int]) -> Mapping[tuple[int, ...], QPoly]:
     """Exact Laurent expansion of prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j},
     as {x-exponent vector: coefficient}; absent vectors have coefficient 0.
 
@@ -68,6 +74,8 @@ def expand_qdyson_product(a: Sequence[int]) -> dict[tuple[int, ...], QPoly]:
     The product of N = (n-1) * sum(a) binomials has L1 norm at most 2**N, so
     every coefficient of every partial product fits a signed slot of width
     bits once width >= N + 2; width is that, rounded up to a multiple of 64.
+    The returned mapping keeps that dict and decodes a coefficient only when
+    it is read.
     """
     n = len(a)
     if n < 1:
@@ -78,8 +86,7 @@ def expand_qdyson_product(a: Sequence[int]) -> dict[tuple[int, ...], QPoly]:
     # _offset raises OverflowError if that leaves the packed field range
     _offset([(n - 2) * x + sum(a) for x in a])
     width = 64 * (((n - 1) * sum(a) + 65) // 64)
-    layout = _layout(n - 1)
-    out = {layout.bias: 1}
+    out = {_layout(n - 1).bias: 1}
     for i in range(n):
         for j in range(i + 1, n):
             up = _offset([(k == i) - (k == j) for k in range(n)])
@@ -87,12 +94,7 @@ def expand_qdyson_product(a: Sequence[int]) -> dict[tuple[int, ...], QPoly]:
             factors += [(-up, t) for t in range(1, a[j] + 1)]
             for off, t in factors:
                 _times_one_minus(out, off, t * width)
-    words = (max(map(int.bit_length, out.values())) // width + 1) * width // 64
-    bias = int.from_bytes((1 << 63).to_bytes(8, "little") * words, "little")
-    return {
-        tuple(map((-_BIAS).__add__, row)): _decode(packed, width, bias)
-        for row, packed in zip(layout.rows(out), out.values())
-    }
+    return _Expansion(out, n, width)
 
 
 def dyson_coefficient(
@@ -156,7 +158,8 @@ def verify_query(
         num, den = QPoly(), QPoly.one()
         error = f"{type(exc).__name__}: {exc}"
     oracle = dyson_coefficient(a, delta, expansion)
-    match = not error and equal_as_rational((num, den), (oracle, QPoly.one()))
+    # num / den == oracle; den is a product of 1 - q^e with e != 0, never 0
+    match = not error and num == oracle * den
     return VerificationReport(
         delta=delta,
         a=a,

@@ -66,7 +66,7 @@ def reference_formula_2m2_0_0() -> RationalQZ:
         (0, (1, 0, 0, 0), -1),
     ]
     big_n = ZqPoly(4, {(q, z): c for q, z, c in n_terms})
-    one_minus_z1 = ZqPoly(4, {(0, (0, 0, 0, 0)): 1, (0, (1, 0, 0, 0)): -1})
+    one_minus_z1 = Atom(0, (1, 0, 0, 0))
     denom = Counter(
         {
             Atom(1, (0, 1, 0, 1)): 1,
@@ -75,7 +75,7 @@ def reference_formula_2m2_0_0() -> RationalQZ:
             Atom(2, (0, 1, 1, 1)): 1,
         }
     )
-    return RationalQZ.make(1, ZqMonomial.identity(4), big_n * one_minus_z1, denom)
+    return RationalQZ.make(1, ZqMonomial.identity(4), big_n.mul_atom(one_minus_z1), denom)
 
 
 def test_criterion_1_constant_term():

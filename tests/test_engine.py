@@ -184,8 +184,8 @@ class TestEquivalent:
         )
         # fold the (1 + q z1) factor into the comparison by equivalence with
         # its product against (1 - q z1)
-        rhs = rq(1, 1, {(0, (0,)): 1, (1, (1,)): -1}, {})
-        prod = rhs * rq(1, 1, {(0, (0,)): 1, (1, (1,)): 1}, {})
+        one_plus = ZqPoly(1, {(0, (0,)): 1, (1, (1,)): 1})
+        prod = RationalQZ.make(1, ZqMonomial.identity(1), one_plus.mul_atom(Atom(1, (1,))), {})
         assert equivalent(lhs, prod)
 
     def test_dimension_check(self):

@@ -20,7 +20,7 @@ from qdyson.oracle import (
     verify_query,
     zero_sum_deltas,
 )
-from qdyson import qpochhammer
+from qdyson import oracle, qpochhammer
 from qdyson.engine import CoefficientQuery, coefficient_combined
 from qdyson.qpochhammer import q_multinomial_numeric
 
@@ -126,6 +126,56 @@ class TestExpansion:
             expand_qdyson_product(())
         with pytest.raises(ValueError):
             expand_qdyson_product((1, -1))
+
+
+def fully_decoded(expansion):
+    """Every key of the packed product, decoded at once digit by digit, by a
+    route that shares no code with the mapping's lookup."""
+    n, width = expansion._n, expansion._width
+    out = {}
+    for key, packed in expansion._packed.items():
+        exps = tuple(((key >> 16 * i) & 0xFFFF) - 8192 for i in range(n))
+        terms, k = {}, 0
+        while packed:
+            digit = packed & ((1 << width) - 1)
+            if digit >> (width - 1):
+                digit -= 1 << width
+            terms[k] = digit
+            packed = (packed - digit) >> width
+            k += 1
+        out[exps] = QPoly(terms)
+    return out
+
+
+class TestLazyExpansion:
+    @pytest.mark.parametrize("a", [(1, 1), (2, 1, 3), (2, 2, 2, 2), (11, 11, 11), (40, 40)])
+    def test_equals_the_fully_decoded_dict(self, a):
+        expansion = expand_qdyson_product(a)
+        decoded = fully_decoded(expansion)
+        assert expansion == decoded
+        assert dict(expansion.items()) == decoded
+        assert len(expansion) == len(decoded) == len(list(expansion))
+
+    def test_get_outside_the_product_is_zero(self):
+        # absent; past the packed field range (8192 and -9000); wrong length
+        expansion = expand_qdyson_product((2, 1, 3))
+        for absent in ((9, -9, 0), (1, 1, 1), (8192, -8192, 0), (0, -9000, 0), (0, 0), (0, 0, 0, 0)):
+            assert absent not in expansion
+            assert expansion.get(absent, QPoly()) == QPoly()
+        assert dyson_coefficient((2, 1, 3), (8192, -8192, 0), expansion) == QPoly()
+        with pytest.raises(KeyError):
+            expansion[(8192, -8192, 0)]
+
+    def test_one_decode_per_query(self, monkeypatch):
+        a = (2, 1, 3)
+        expansion = expand_qdyson_product(a)
+        deltas = zero_sum_deltas(3, 2)
+        calls = []
+        real = oracle._unpack_q
+        monkeypatch.setattr(oracle, "_unpack_q", lambda *args: calls.append(args) or real(*args))
+        for delta in deltas:
+            assert verify_query(delta, a, shift="zero", expansion=expansion).match
+        assert 0 < len(calls) <= len(deltas)
 
 
 class TestDysonCoefficient:
