@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 from typing import Sequence
 
 from .engine import (
@@ -167,6 +168,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache  # one parser per process: parse_args leaves it unchanged; do not add to it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qdyson", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

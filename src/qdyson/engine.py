@@ -82,9 +82,7 @@ class CombinedResult:
     delta: tuple[int, ...]
 
 
-def point_rational(
-    point: EvaluationPoint, grid, n: int
-) -> RationalQZ:
+def point_rational(point: EvaluationPoint, grid, n: int) -> RationalQZ:
     """The summand of the interpolation-grid sum at one evaluation point,
     divided by the q-multinomial coefficient."""
     value = evaluate_product_at_point(point.alpha)
@@ -92,10 +90,8 @@ def point_rational(
         raise InternalInconsistency(
             f"enumerated point {point.pi}, m={point.m} evaluates to zero"
         )
-    phi = QExpr.identity(n)
-    for i in range(n):
-        phi = phi * phi_prime_at_point(i, point.alpha[i], grid)
-    return normalize_to_rational(value / phi, n)
+    phis = [phi_prime_at_point(i, x, grid) for i, x in enumerate(point.alpha)]
+    return normalize_to_rational(value / QExpr.product(n, phis), n)
 
 
 def coefficient_split(query: CoefficientQuery) -> SplitResult:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 from math import comb, inf
+from operator import gt
 from typing import Iterator, Optional, Sequence
 
 from .errors import DuplicatePoint
@@ -28,7 +29,12 @@ def descent_count(pi: Sequence[int]) -> int:
     """Number of positions i with pi(i) > pi(i+1)."""
     if sorted(pi) != list(range(1, len(pi) + 1)):
         raise ValueError(f"{pi} is not a permutation of 1..{len(pi)}")
-    return sum(1 for x, y in zip(pi, pi[1:]) if x > y)
+    return _descents(pi)
+
+
+def _descents(pi: Sequence[int]) -> int:
+    """descent_count without the permutation check, for the n! scans."""
+    return sum(map(gt, pi, pi[1:]))
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,7 @@ def enumerate_evaluation_set(
     seen: set = set()
     for pi in permutations(range(1, n + 1)):
         f, l = pi[0] - 1, pi[-1] - 1
-        b = delta[l] - descent_count(pi) + shift[l] - shift[f]
+        b = delta[l] - _descents(pi) + shift[l] - shift[f]
         if b < 0:
             continue
         for m in _slack_vectors(n, b):
@@ -123,7 +129,7 @@ def enumerate_evaluation_set(
 def _descent_table(n: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
     """Permutations of 1..n counted by (first, last, descent count)."""
     perms = permutations(range(1, n + 1))
-    counts = Counter((pi[0], pi[-1], descent_count(pi)) for pi in perms)
+    counts = Counter((pi[0], pi[-1], _descents(pi)) for pi in perms)
     return tuple(counts.items())
 
 

@@ -8,7 +8,8 @@ where parity is an affine form read mod 2, qexp a quadratic form with
 coefficients in (1/2)Z, and each L an affine-linear form in a_1..a_n with
 nonnegative generic sign.
 Evaluations of the cleared q-Dyson product and of the grid node-polynomial
-derivatives both land here; ``normalize_to_rational`` then divides out the
+derivatives both land here, one Pochhammer window per pair and one
+``QExpr.product`` per point.  ``normalize_to_rational`` then divides out the
 q-multinomial coefficient and collapses what survives into a factored
 rational function of q and z_1..z_n (z_i = q^{a_i}).
 """
@@ -16,9 +17,9 @@ rational function of q and z_1..z_n (z_i = q^{a_i}).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalInconsistency, MixedSign
 from .exactalg import Atom, QPoly, RationalQZ, ZqMonomial, ZqPoly
@@ -79,23 +80,29 @@ class QExpr:
     def is_zero(self) -> bool:
         return self.zero
 
-    def poch_counter(self) -> Counter:
-        return Counter(dict(self.poch))
+    @staticmethod
+    def product(n: int, factors: Sequence["QExpr"]) -> "QExpr":
+        """The product of validated factors, canonicalized once.
+
+        Parities and q-exponents add and the (q)_L exponents merge; a zero
+        factor makes the product zero.
+        """
+        if any(f.zero for f in factors):
+            return QExpr.make_zero(n)
+        poch: Counter = Counter()
+        for f in factors:
+            poch.update(dict(f.poch))
+        return QExpr(
+            n,
+            sum((f.parity for f in factors), AffineForm.const(n, 0)),
+            sum((f.qexp for f in factors), QuadForm.zero(n)),
+            _canon_poch(poch),
+        )
 
     def __mul__(self, other: "QExpr") -> "QExpr":
         if not isinstance(other, QExpr):
             return NotImplemented
-        if self.zero or other.zero:
-            return QExpr.make_zero(self.n)
-        # both factors' indices are validated, so only recombine them
-        merged = self.poch_counter()
-        merged.update(dict(other.poch))
-        return QExpr(
-            self.n,
-            self.parity + other.parity,
-            self.qexp + other.qexp,
-            _canon_poch(merged),
-        )
+        return QExpr.product(self.n, (self, other))
 
     def inverse(self) -> "QExpr":
         if self.zero:
@@ -200,28 +207,30 @@ def evaluate_product_at_point(alpha: Sequence[AffineForm]) -> QExpr:
     """The cleared q-Dyson product F at x_i = q^{alpha_i}.
 
     F multiplies each pair factor (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j} by the
-    monomial x_j^{a_i} x_i^{a_j}, so the value at a grid point is a product
-    of two Pochhammer rewrites and one q-power per pair i < j.
+    monomial x_j^{a_i} x_i^{a_j}.  With e = alpha_i - alpha_j, reflecting
+    each binomial of the second half, 1 - q^{s-e} = -q^{s-e} (1 - q^{e-s}),
+    joins the two halves into one window of consecutive binomials:
+
+        (-1)^{a_j} q^{alpha_j (a_i + a_j) + binom(a_j + 1, 2)} (q^{e - a_j})_{a_i + a_j}
+
+    So each pair i < j costs one Pochhammer rewrite; the pairs' signs and
+    q-powers are summed into one more factor of the point's single product.
     """
     n = len(alpha)
-    out = QExpr.identity(n)
+    parity, qexp = AffineForm.const(n, 0), QuadForm.zero(n)
+    windows = []
     for i in range(n):
         ai = AffineForm.param(n, i)
         for j in range(i + 1, n):
             aj = AffineForm.param(n, j)
-            left = rewrite_pochhammer(alpha[i] - alpha[j], ai)
-            right = rewrite_pochhammer(alpha[j] - alpha[i] + 1, aj)
-            if left.is_zero() or right.is_zero():
-                return QExpr.make_zero(n)
-            mono = QExpr(
-                n,
-                AffineForm.const(n, 0),
-                QuadForm.from_product(alpha[j], ai)
-                + QuadForm.from_product(alpha[i], aj),
-                (),
-            )
-            out = out * left * right * mono
-    return out
+            f = ai + aj
+            window = rewrite_pochhammer(alpha[i] - alpha[j] - aj, f)
+            if window.is_zero():
+                return window
+            windows.append(window)
+            parity = parity + aj
+            qexp = qexp + QuadForm.from_product(alpha[j], f) + QuadForm.choose2(aj + 1)
+    return QExpr.product(n, [QExpr(n, parity, qexp, ()), *windows])
 
 
 def phi_prime_at_point(i: int, alpha_i: AffineForm, grid: GridSpec) -> QExpr:
@@ -245,10 +254,8 @@ def phi_prime_at_point(i: int, alpha_i: AffineForm, grid: GridSpec) -> QExpr:
         + QuadForm.choose2(j)
         + QuadForm.from_product(j, d - j)
     )
-    poch: Counter = Counter()
-    poch[j] += 1
-    poch[d - j] += 1  # j and d-j may coincide; their exponents must add
-    return QExpr.build(n, j, qexp, poch)
+    # j and d-j may coincide; Counter then gives that index exponent 2
+    return QExpr.build(n, j, qexp, Counter((j, d - j)))
 
 
 def q_multinomial_symbols(n: int) -> Counter:
@@ -265,7 +272,7 @@ def _pair_group(
     vec: tuple[int, ...],
     numers: list[int],
     denoms: list[int],
-    num_atoms: list[Atom],
+    num_atoms: Counter,
     den_atoms: Counter,
 ) -> None:
     """Pair numerator/denominator (q)_L factors sharing the a-coefficient
@@ -282,7 +289,7 @@ def _pair_group(
         if cn >= cd:
             # (q)_{L+cn-cd}/(q)_L = prod_{t=cd+1}^{cn} (1 - q^t z^vec)
             for t in range(cd + 1, cn + 1):
-                num_atoms.append(Atom(t, vec))
+                num_atoms[Atom(t, vec)] += 1
         else:
             for t in range(cn + 1, cd + 1):
                 den_atoms[Atom(t, vec)] += 1
@@ -298,12 +305,12 @@ def normalize_to_rational(expr: QExpr, n: int) -> RationalQZ:
     """
     if expr.is_zero():
         raise InternalInconsistency("cannot normalize the zero q-expression")
-    net = expr.poch_counter()
+    net = Counter(dict(expr.poch))
     net.subtract(q_multinomial_symbols(n))
 
     groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    const_numer: list[int] = []
-    const_denom: Counter = Counter()
+    num_atoms: Counter = Counter()
+    den_atoms: Counter = Counter()
     for index, exp in net.items():
         if exp == 0:
             continue
@@ -311,20 +318,13 @@ def normalize_to_rational(expr: QExpr, n: int) -> RationalQZ:
             m = index.constant
             if m < 0:
                 raise InternalInconsistency(f"numeric factor (q)_{m} with m < 0")
-            if exp > 0:
-                const_numer.extend([m] * exp)
-            else:
-                for s in range(1, m + 1):
-                    const_denom[Atom(s, (0,) * n)] += -exp
+            side = num_atoms if exp > 0 else den_atoms
+            for s in range(1, m + 1):
+                side[Atom(s, (0,) * n)] += abs(exp)
             continue
-        numers, denoms = groups.setdefault(index.coeffs, ([], []))
-        if exp > 0:
-            numers.extend([index.constant] * exp)
-        else:
-            denoms.extend([index.constant] * (-exp))
+        sides = groups.setdefault(index.coeffs, ([], []))
+        sides[exp < 0].extend([index.constant] * abs(exp))
 
-    num_atoms: list[Atom] = []
-    den_atoms: Counter = Counter(const_denom)
     for vec in sorted(groups):
         numers, denoms = groups[vec]
         _pair_group(vec, numers, denoms, num_atoms, den_atoms)
@@ -337,12 +337,7 @@ def normalize_to_rational(expr: QExpr, n: int) -> RationalQZ:
     exponent = quad_finalize(expr.qexp)
     unit = ZqMonomial(exponent.constant, exponent.coeffs)
 
-    numer = ZqPoly.one(n)
-    for m in const_numer:
-        for s in range(1, m + 1):
-            numer = numer.mul_atom(Atom(s, (0,) * n))
-    for atom in num_atoms:
-        numer = numer.mul_atom(atom)
+    numer = ZqPoly.sum_of(n, [(ZqPoly.one(n), num_atoms)])
     return RationalQZ.make(-1 if bit else 1, unit, numer, den_atoms)
 
 

@@ -575,3 +575,15 @@ class TestOnePipeline:
         )
         assert code == EXIT_OK
         assert [s.shift_used for s in splits] == [(1, 1, 1), (0, 1, 0), (0, 1, 1)]
+
+
+class TestParserReuse:
+    def test_two_commands_build_the_parser_once(self, capsys):
+        build_parser.cache_clear()
+        first = run(capsys, "best-shift", "--delta", "1,-1", "--format", "json")
+        second = run(capsys, "best-shift", "--delta", "2,-2")
+        assert build_parser.cache_info().misses == 1
+        assert (first[0], second[0]) == (EXIT_OK, EXIT_OK)
+        # the first call's options do not carry over into the second
+        json.loads(first[1])
+        assert not second[1].lstrip().startswith("{")

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from qdyson.engine import CoefficientQuery
 from qdyson.errors import InternalInconsistency, MixedSign
 from qdyson.exactalg import Atom, QPoly, RationalQZ, ZqMonomial, ZqPoly, equal_as_rational, substitute_z
 from qdyson.qpochhammer import (
@@ -17,6 +18,7 @@ from qdyson.qpochhammer import (
     q_pochhammer_numeric,
     rewrite_pochhammer,
 )
+from qdyson.latticepoints import enumerate_evaluation_set
 from qdyson.symforms import AffineForm
 
 
@@ -30,6 +32,44 @@ def a2():
 
 def const(n, v):
     return AffineForm.const(n, v)
+
+
+def direct_product(av, a):
+    """The cleared q-Dyson product at x_i = q^{av_i}, straight from its
+    definition: every pair factor times x_j^{a_i} x_i^{a_j}."""
+    n = len(a)
+    out = QPoly.one()
+    for i in range(n):
+        for j in range(i + 1, n):
+            out = out * q_pochhammer_numeric(av[i] - av[j], a[i])
+            out = out * q_pochhammer_numeric(av[j] - av[i] + 1, a[j])
+            out = out.shift(av[j] * a[i] + av[i] * a[j])
+    return out
+
+
+def assert_matches_direct_product(alpha, a_values):
+    expr = evaluate_product_at_point(alpha)
+    for a in a_values:
+        av = [f.evaluate(a) for f in alpha]
+        assert equal_as_rational(
+            expr.evaluate_numeric(a), (direct_product(av, a), QPoly.one())
+        ), a
+
+
+def evaluation_points(deltas):
+    """Every point of each delta's evaluation set, zero and best shift."""
+    for delta in deltas:
+        for policy in ("zero", "best"):
+            shift = CoefficientQuery(delta=delta, shift=policy).resolve_shift()
+            points = enumerate_evaluation_set(delta, shift).points
+            name = ",".join(map(str, delta))
+            for k, pt in enumerate(points):
+                yield pytest.param(pt.alpha, id=f"{name}-{policy}-{k}")
+
+
+EVALUATION_POINTS = list(
+    evaluation_points([(2, -1, -1), (0, -2, 2), (1, 1, -1, -1), (-2, 0, 0, 2)])
+)
 
 
 class TestNumericPochhammer:
@@ -145,20 +185,44 @@ class TestProductEvaluation:
 
     def test_matches_direct_product_numerically(self):
         # F(q^alpha) for the delta=(1,-1,0) point alpha=(a2+a3+1, 0, a2)
-        n = 3
         a2_, a3_ = AffineForm.param(3, 1), AffineForm.param(3, 2)
         alpha = (a2_ + a3_ + 1, AffineForm.const(3, 0), a2_)
-        expr = evaluate_product_at_point(alpha)
-        for a in product((1, 2), repeat=3):
-            av = [f.evaluate(a) for f in alpha]
-            direct = QPoly.one()
-            for i in range(n):
-                for j in range(i + 1, n):
-                    direct = direct * q_pochhammer_numeric(av[i] - av[j], a[i])
-                    direct = direct * q_pochhammer_numeric(av[j] - av[i] + 1, a[j])
-                    direct = direct.shift(av[j] * a[i] + av[i] * a[j])
-            num, den = expr.evaluate_numeric(a)
-            assert equal_as_rational((num, den), (direct, QPoly.one()))
+        assert_matches_direct_product(alpha, product((1, 2), repeat=3))
+
+    @pytest.mark.parametrize("alpha", EVALUATION_POINTS)
+    def test_matches_direct_product_at_every_point(self, alpha):
+        assert_matches_direct_product(alpha, product((1, 2), repeat=len(alpha)))
+
+    def test_window_reaching_zero_vanishes(self):
+        # alpha = (a2, a1): the one pair's window is [-a1, a2 - 1], so it
+        # holds the binomial 1 - q^0 for every a
+        assert evaluate_product_at_point((a2(), a1(2))).is_zero()
+        for a in product((1, 2, 3), repeat=2):
+            assert direct_product((a[1], a[0]), a).is_zero()
+
+    def test_product_of_many_factors(self):
+        grid = GridSpec(lower=(0, 0), degree=(a1(2), a2() + 2))
+        factors = [
+            rewrite_pochhammer(-a1(2), a1(2)),
+            rewrite_pochhammer(a2() + 1, a1(2)),
+            phi_prime_at_point(1, a2(), grid),
+        ]
+        expr = QExpr.product(2, factors)
+        assert expr == factors[0] * factors[1] * factors[2]
+        for a in product((1, 2, 3), repeat=2):
+            num, den = QPoly.one(), QPoly.one()
+            for f in factors:
+                fn, fd = f.evaluate_numeric(a)
+                num, den = num * fn, den * fd
+            assert equal_as_rational(expr.evaluate_numeric(a), (num, den))
+
+    def test_zero_factor_makes_the_product_zero(self):
+        window = rewrite_pochhammer(a1(2) + 1, a2())
+        zero = QExpr.make_zero(2)
+        assert QExpr.product(2, [window, zero, window]).is_zero()
+        assert (window * zero).is_zero()
+        assert (zero * window).is_zero()
+        assert not QExpr.product(2, [window, window]).is_zero()
 
 
 class TestPhiPrime:
