@@ -446,7 +446,7 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, OverflowError) as exc:  # or an exponent past the packed range
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except InternalInconsistency as exc:

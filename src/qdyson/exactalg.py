@@ -4,7 +4,9 @@ Three sparse representations, all immutable in practice:
 
 * ``QPoly`` -- integer Laurent polynomial in q.  A product is one big-int
   multiply: each factor is packed into one int under the Kronecker
-  substitution q -> 2**width, and the product's digits are decoded;
+  substitution q -> 2**width, and the product's digits are decoded.
+  Binomials 1 - q^s are multiplied in and divided out in place, on the
+  terms dict (``_times_one_minus`` and its inverse ``_divide_one_minus``);
 * ``ZqPoly`` -- integer polynomial in q and z_1..z_n, Laurent exponents
   allowed (z_i stands for q^{a_i}).  Each exponent vector is packed into one
   int key with a 16-bit field per variable, so multiplying by a monomial adds
@@ -17,7 +19,7 @@ Three sparse representations, all immutable in practice:
   denominator atoms 1 - q^c * z^v, never expanded.
 
 Each of ``ZqPoly`` and ``RationalQZ`` renders itself as text (``str``) or
-LaTeX (``render(latex=True)``).
+LaTeX (``render(latex=True)``); ``QPoly``'s text uses ZqPoly's term renderer.
 """
 
 from __future__ import annotations
@@ -56,21 +58,11 @@ class QPoly:
     def one() -> "QPoly":
         return QPoly({0: 1})
 
-    @staticmethod
-    def monomial(exp: int, coeff: int = 1) -> "QPoly":
-        return QPoly({exp: coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.terms.items())
-
-    def min_exp(self) -> int:
-        return min(self.terms)
-
-    def max_exp(self) -> int:
-        return max(self.terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -117,61 +109,12 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "QPoly":
-        if k < 0:
-            raise ValueError("negative power of a QPoly")
-        out = QPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def shift(self, k: int) -> "QPoly":
         """Multiply by q^k."""
         return QPoly({e + k: c for e, c in self.terms.items()})
 
-    def exact_div(self, other: "QPoly") -> Optional["QPoly"]:
-        """Exact quotient self/other, or None if the division is inexact."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return QPoly()
-        qmin = self.min_exp() - other.min_exp()
-        lead = other.max_exp()
-        lead_c = other.terms[lead]
-        rem = dict(self.terms)
-        quo: dict[int, int] = {}
-        while rem:
-            e = max(rem)
-            qe = e - lead
-            if qe < qmin:
-                return None
-            qc, r = divmod(rem[e], lead_c)
-            if r:
-                return None
-            quo[qe] = qc
-            for oe, oc in other.terms.items():
-                t = oe + qe
-                rem[t] = rem.get(t, 0) - oc * qc
-                if rem[t] == 0:
-                    del rem[t]
-        return QPoly(quo)
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            if e == 0:
-                mono = str(c)
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                mono = f"{head}q^{e}" if e != 1 else f"{head}q"
-            parts.append(mono)
-        return " + ".join(parts).replace("+ -", "- ")
+        return _render_terms((((e, ()), c) for e, c in self.items()), False)
 
     __repr__ = __str__
 
@@ -211,10 +154,15 @@ def _times_one_minus(terms: dict[int, int], off: int, shift: int = 0) -> None:
     """Multiply terms by 1 - m in place, where m adds off to a key and
     multiplies its value by 2**shift.  Keys are visited away from the
     direction of off, so each is read before anything is written to it.
+    off must be nonzero, as for an ``Atom``: 1 - q^0 is identically zero.
 
-    Only the oracle side uses it (the expansion and ``substitute_z``); the
-    engine's ZqPoly multiplies by ``_times_atom``, so the check shares no
-    kernel with what it checks."""
+    Every product of binomials at concrete a is built here: the oracle's
+    expansion and the verify-side specialization (``substitute_z`` and the
+    q-Pochhammer products and q-multinomial of ``qpochhammer``).  The
+    engine's R never touches it; ZqPoly multiplies by ``_times_atom``, so
+    the check shares no kernel with what it checks."""
+    if not off:
+        raise ValueError("1 - q^0 is identically zero")
     get = terms.get
     for k in sorted(terms, reverse=off > 0):
         t = k + off
@@ -223,6 +171,25 @@ def _times_one_minus(terms: dict[int, int], off: int, shift: int = 0) -> None:
             terms[t] = s
         else:
             del terms[t]
+
+
+def _divide_one_minus(terms: dict[int, int], s: int) -> None:
+    """Divide the q-polynomial terms by 1 - q^s in place, s > 0.
+
+    Euclid's division by a linear factor, as one ascending running sum:
+    the quotient g of f has g_k = f_k + g_(k-s), and f is a multiple of
+    1 - q^s exactly when the top s sums, the remainder, are all zero.
+    Raises ArithmeticError otherwise, leaving terms unchanged."""
+    if not terms:
+        return
+    low = min(terms)
+    run = list(map(terms.get, range(low, max(terms) + 1), repeat(0)))
+    for k in range(s, len(run)):
+        run[k] += run[k - s]
+    if any(run[-s:]):
+        raise ArithmeticError(f"not a multiple of 1 - q^{s}")
+    terms.clear()
+    terms.update(compress(enumerate(run[:-s], low), run[:-s]))
 
 
 def equal_as_rational(
@@ -255,6 +222,24 @@ def _mono_str(qexp: int, zexp: Sequence[int], latex: bool) -> str:
     if not factors:
         return "1"
     return (" " if latex else "*").join(factors)
+
+
+def _render_terms(items: Iterable, latex: bool) -> str:
+    """Signed sum of ((qexp, zexp), coeff) terms in the given order."""
+    parts = []
+    for (qe, ze), c in items:
+        mono = _mono_str(qe, ze, latex)
+        if mono == "1":
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}{' ' if latex else '*'}{mono}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    if not parts:
+        return "0"
+    out = " ".join(parts)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
 @dataclass(frozen=True)
@@ -386,15 +371,22 @@ def _sum_into(acc: dict[int, int], n: int, pending: list) -> None:
                 else:
                     del acc[k]
         return
-    atom = max(need, key=lambda a: (need[a], a.sort_key()))
-    one = Counter({atom: 1})
+    if len(pending) == 1:  # one pair: multiply its atoms in one by one
+        ((terms, atoms),) = pending
+        inner, factors, rest = [(terms, Counter())], atoms.elements(), []
+    else:
+        atom = max(need, key=lambda a: (need[a], a.sort_key()))
+        one = Counter({atom: 1})
+        inner = [(t, atoms - one) for t, atoms in pending if atom in atoms]
+        factors, rest = (atom,), [p for p in pending if atom not in p[1]]
     part = {} if acc else acc  # an empty acc takes the partial sum in place
-    _sum_into(part, n, [(t, atoms - one) for t, atoms in pending if atom in atoms])
-    _times_atom(part, n, atom)
+    _sum_into(part, n, inner)
+    for atom in factors:
+        _times_atom(part, n, atom)
     if part is not acc:
         _sum_into(acc, n, [(part, Counter())])
     del part  # free the partial before summing the rest
-    _sum_into(acc, n, [p for p in pending if atom not in p[1]])
+    _sum_into(acc, n, rest)
 
 
 class ZqPoly:
@@ -567,20 +559,7 @@ class ZqPoly:
 
     def render(self, latex: bool = False) -> str:
         """Signed sum of the terms in graded-lex order, as text or LaTeX."""
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (qe, ze), c in self.items():
-            mono = _mono_str(qe, ze, latex)
-            if mono == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}{' ' if latex else '*'}{mono}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+        return _render_terms(self.items(), latex)
 
     __str__ = __repr__ = render
 

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 from .errors import InternalInconsistency, MixedSign
 from .exactalg import Atom, QPoly, RationalQZ, ZqMonomial, ZqPoly
+from .exactalg import _divide_one_minus, _times_one_minus
 from .symforms import (
     AffineForm,
     QuadForm,
@@ -125,8 +126,7 @@ class QExpr:
         e = self.qexp.evaluate(a)
         if e.denominator != 1:
             raise InternalInconsistency(f"non-integral q-exponent {e} at a={a}")
-        num = QPoly.monomial(int(e), sign)
-        den = QPoly.one()
+        num, den = {int(e): sign}, {0: 1}
         for index, exp in self.poch:
             val = index.evaluate(a)
             if val < 0:
@@ -138,12 +138,11 @@ class QExpr:
                 raise InternalInconsistency(
                     f"(q)_L with L = {index} negative at a={tuple(a)}"
                 )
-            factor = q_pochhammer_numeric(1, val) ** abs(exp)
-            if exp > 0:
-                num = num * factor
-            else:
-                den = den * factor
-        return num, den
+            side = num if exp > 0 else den
+            for _ in range(abs(exp)):
+                for t in range(1, val + 1):
+                    _times_one_minus(side, t)
+        return QPoly._of(num), QPoly._of(den)
 
 
 def rewrite_pochhammer(e: AffineForm, f: AffineForm) -> QExpr:
@@ -342,16 +341,16 @@ def normalize_to_rational(expr: QExpr, n: int) -> RationalQZ:
 
 
 def q_pochhammer_numeric(e: int, f: int) -> QPoly:
-    """(q^e)_f = prod_{t=0}^{f-1} (1 - q^{t+e}), Laurent in q when e < 0."""
+    """(q^e)_f = prod_{t=0}^{f-1} (1 - q^{t+e}), Laurent in q when e < 0;
+    zero exactly when the window [e, e+f-1] holds the factor 1 - q^0."""
     if f < 0:
         raise ValueError("Pochhammer length must be nonnegative")
-    out = QPoly.one()
-    for t in range(f):
-        exp = t + e
-        if exp == 0:
-            return QPoly()
-        out = out * QPoly({0: 1, exp: -1})
-    return out
+    if e <= 0 < e + f:
+        return QPoly()
+    terms = {0: 1}
+    for t in range(e, e + f):
+        _times_one_minus(terms, t)
+    return QPoly._of(terms)
 
 
 def q_multinomial_numeric(a: Sequence[int]) -> QPoly:
@@ -361,12 +360,17 @@ def q_multinomial_numeric(a: Sequence[int]) -> QPoly:
 
 @cache
 def _q_multinomial(a: tuple[int, ...]) -> QPoly:
+    """(q)_{sum a} built in place, then divided by each 1 - q^t of each
+    (q)_{a_i}; every division must leave remainder zero."""
     if any(x < 0 for x in a):
         raise ValueError("multinomial arguments must be nonnegative")
-    num = q_pochhammer_numeric(1, sum(a))
-    for x in a:
-        quo = num.exact_div(q_pochhammer_numeric(1, x))
-        if quo is None:
-            raise InternalInconsistency("q-multinomial division was inexact")
-        num = quo
-    return num
+    terms = {0: 1}
+    for t in range(1, sum(a) + 1):
+        _times_one_minus(terms, t)
+    try:
+        for x in a:
+            for t in range(1, x + 1):
+                _divide_one_minus(terms, t)
+    except ArithmeticError:
+        raise InternalInconsistency("q-multinomial division was inexact") from None
+    return QPoly._of(terms)

@@ -202,7 +202,7 @@ def test_criterion_7_phi_prime_and_rewrite():
                 for t in range(d + 1):
                     if t != j:
                         direct = direct * (
-                            QPoly.monomial(c + j) - QPoly.monomial(c + t)
+                            QPoly({c + j: 1}) - QPoly({c + t: 1})
                         )
                 assert equal_as_rational((num, den), (direct, QPoly.one())), (d, c, j)
     # rewrite soundness at a in {1,2,3}^n, n <= 3, over sign-classifiable forms

@@ -111,6 +111,10 @@ class TestExitCodes:
             ("best-shift", "--delta", "1,-1", "--radius", "0"),
             ("article", "--delta", "1,-1", "--radius", "0"),
             ("article", "--delta", "1,-1", "--radius", "0", "--shift", "zero"),
+            # exponents of R leave the packed range [-8192, 8192)
+            ("coeff", "--delta=500,-500"),
+            ("coeff", "--delta=20000,-20000"),
+            ("verify", "--delta", "9000,-9000", "--a", "1,1"),
         ],
     )
     def test_out_of_range(self, capsys, argv):

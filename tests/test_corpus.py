@@ -6,10 +6,12 @@ and recomputed under the best shift too) and the n = 5 pool (pinned under
 the default best shift).  This test only reads the file.
 """
 
+import random
+from dataclasses import replace
 from pathlib import Path
 
 from qdyson.cli import dumps_canonical, formula_json
-from qdyson.engine import CoefficientQuery, coefficient_combined
+from qdyson.engine import CoefficientQuery, coefficient_combined, coefficient_split, combine
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "formulas.tsv"
 
@@ -54,3 +56,50 @@ def test_n5_pool_recomputes_byte_identical():
     pinned = pinned_pool(5)
     assert len(pinned) == 130
     assert mismatched(pinned, "best") == []
+
+
+# among the cheap deltas of each pool, those with the most points (10-15 at
+# n = 4 under the zero shift, 4-7 at n = 5 under the best shift)
+SHUFFLED = [
+    *(
+        (delta, "zero")
+        for delta in [
+            (-1, 2, -1, 0), (0, 2, -2, 0), (-2, 2, 0, 0), (-1, 2, 0, -1), (0, 2, -1, -1),
+            (0, 2, 0, -2), (0, -2, 1, 1), (-2, 0, 1, 1), (-1, 1, -1, 1), (0, 1, -2, 1),
+        ]
+    ),
+    *(
+        (delta, "best")
+        for delta in [
+            (-2, 2, 0, 0, 0), (0, -2, 2, 0, 0), (0, 0, -1, 2, -1), (-1, 0, 0, -1, 2),
+            (2, 0, 0, 0, -2), (-1, 2, -1, 0, 0), (0, 0, 0, 2, -2), (2, -1, 0, 0, -1),
+            (0, -1, 2, -1, 0), (0, 1, -1, -1, 1),
+        ]
+    ),
+]
+
+
+def shuffled_bytes(delta, shift, seeds):
+    """R's canonical bytes from the split's summands in each seed's order."""
+    split = coefficient_split(CoefficientQuery(delta=delta, shift=shift))
+    out = []
+    for seed in seeds:
+        terms = list(split.terms)
+        random.Random(seed).shuffle(terms)
+        rational = combine(replace(split, terms=tuple(terms))).rational
+        out.append(dumps_canonical(formula_json(rational)))
+    return out
+
+
+def test_summand_order_does_not_change_r():
+    # combine multiplies late, in an order that follows the summands' order;
+    # R's bytes must not
+    pinned = {**pinned_pool(4), **pinned_pool(5)}
+    for delta, shift in SHUFFLED:
+        assert shuffled_bytes(delta, shift, (1, 2, 3)) == [pinned[delta]] * 3, delta
+
+
+def test_summand_order_69_points():
+    # one shuffled order only: this combine alone takes about 3 s
+    pinned = pinned_pool(4)[(-2, 0, 0, 2)]
+    assert shuffled_bytes((-2, 0, 0, 2), (0, 1, 1, 1), (1,)) == [pinned]

@@ -1,6 +1,7 @@
 """Exact-arithmetic core: polynomials in q, in q and z, and factored rationals."""
 
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,8 @@ from qdyson.exactalg import (
     RationalQZ,
     ZqMonomial,
     ZqPoly,
+    _divide_one_minus,
+    _times_one_minus,
     equal_as_rational,
     substitute_z,
 )
@@ -34,19 +37,6 @@ class TestQPoly:
     def test_laurent_exponents(self):
         p = QPoly({-1: 1, 2: -3})
         assert p.shift(1) == QPoly({0: 1, 3: -3})
-        assert p.min_exp() == -1 and p.max_exp() == 2
-
-    def test_exact_div(self):
-        num = QPoly({0: 1, 2: -1})  # 1 - q^2
-        den = QPoly({0: 1, 1: -1})  # 1 - q
-        assert num.exact_div(den) == QPoly({0: 1, 1: 1})
-        assert den.exact_div(num) is None
-        assert QPoly().exact_div(den) == QPoly()
-
-    def test_pow(self):
-        p = QPoly({0: 1, 1: -1})
-        assert p ** 0 == QPoly.one()
-        assert p ** 3 == p * p * p
 
 
 def schoolbook_product(f, g):
@@ -85,6 +75,64 @@ class TestKroneckerProduct:
     def test_matches_schoolbook(self, f, g):
         assert f * g == schoolbook_product(f, g)
         assert 0 not in (f * g).terms.values()
+
+
+def schoolbook_str(p):
+    """The text of a QPoly, term by term in ascending q, joined by " + "."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for e, c in sorted(p.terms.items()):
+        if e == 0:
+            parts.append(str(c))
+        else:
+            head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+            parts.append(f"{head}q^{e}" if e != 1 else f"{head}q")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+class TestQPolyText:
+    @settings(max_examples=200, deadline=None)
+    @given(qpolys)
+    @example(QPoly({-1: 1, 0: -1, 1: 2, 3: -3}))
+    @example(QPoly({1: -1}))
+    @example(QPoly())
+    def test_matches_term_by_term(self, p):
+        assert str(p) == repr(p) == schoolbook_str(p)
+
+    def test_examples(self):
+        assert str(QPoly({-1: 1, 0: -1, 1: 2, 3: -3})) == "q^-1 - 1 + 2*q - 3*q^3"
+        assert str(QPoly({0: -5, 1: -1})) == "-5 - q"
+
+
+class TestOneMinusKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(qpolys, st.integers(1, 8))
+    @example(QPoly({-8: 3, 8: -2**70}), 8)  # span past s on both sides of 0
+    @example(QPoly({0: 1}), 1)
+    def test_divide_undoes_multiply(self, f, s):
+        terms = dict(f.terms)
+        _times_one_minus(terms, s)
+        assert QPoly(terms) == f * QPoly({0: 1, s: -1})
+        assert 0 not in terms.values()
+        _divide_one_minus(terms, s)
+        assert terms == f.terms
+
+    @settings(max_examples=200, deadline=None)
+    @given(qpolys, st.integers(1, 8), st.integers(-12, 12), st.sampled_from((1, -1, 2**65)))
+    def test_non_multiple_raises(self, f, s, e, c):
+        # at q = 1 a multiple of 1 - q^s vanishes and c * q^e does not
+        terms = dict(f.terms)
+        _times_one_minus(terms, s)
+        terms[e] = terms.get(e, 0) + c
+        before = dict(terms)
+        with pytest.raises(ArithmeticError):
+            _divide_one_minus(terms, s)
+        assert terms == before
+
+    def test_zero_binomial_refused(self):
+        with pytest.raises(ValueError):
+            _times_one_minus({0: 1}, 0)
 
 
 class TestZqPoly:
@@ -279,6 +327,13 @@ class TestSumOf:
         expected = {key: c for key, c in ref.items() if c}
         assert dict(total.items()) == expected  # the inputs were not changed either
 
+    def test_one_pair_many_atoms(self):
+        # one pair multiplies its 1,200 atoms in without a recursion per atom
+        power = ZqPoly.sum_of(1, [(ZqPoly.one(1), {Atom(1, (0,)): 1200})])
+        assert dict(power.items()) == {
+            (k, (0,)): (-1) ** k * comb(1200, k) for k in range(1201)
+        }
+
     def test_exact_cancellation(self):
         p = ZqPoly(2, {(0, (1, 0)): 3, (2, (0, -1)): -1})
         atom = Atom(1, (1, 0))
@@ -388,7 +443,7 @@ class TestEqualAsRational:
 
     def test_unequal(self):
         assert not equal_as_rational(
-            (QPoly.one(), QPoly.one()), (QPoly.monomial(1), QPoly.one())
+            (QPoly.one(), QPoly.one()), (QPoly({1: 1}), QPoly.one())
         )
 
     def test_zero_equivalence(self):

@@ -115,6 +115,12 @@ class TestExpansion:
         assert expansion == expected
         assert all(0 not in c.terms.values() for c in expansion.values())
 
+    def test_q_multinomial_is_q_binomial(self):
+        # (q)_{a1+a2} / ((q)_a1 (q)_a2) is the q-binomial [a1+a2; a1]_q
+        wide = [(1, 63), (0, 64), (20, 33), (40, 40), (64, 64)]
+        for a1, a2 in [*product(range(9), repeat=2), *wide]:
+            assert q_multinomial_numeric((a1, a2)) == q_binomial_row(a1 + a2)[a1]
+
     def test_wide_slot_constant_term(self):
         # N = 2 * 33 = 66 binomials: 128-bit q-slots
         expansion = expand_qdyson_product((11, 11, 11))
@@ -238,9 +244,9 @@ class TestVerify:
             for d in (d1, d2)
         )
         calls = []
-        real = qpochhammer.q_pochhammer_numeric
+        real = qpochhammer._divide_one_minus
         monkeypatch.setattr(
-            qpochhammer, "q_pochhammer_numeric", lambda e, f: calls.append(f) or real(e, f)
+            qpochhammer, "_divide_one_minus", lambda terms, s: calls.append(s) or real(terms, s)
         )
         qpochhammer._q_multinomial.cache_clear()
         assert verify_query(d1, a, expansion=expansion, rational=r1).match

@@ -1,5 +1,6 @@
 """Symbolic q-Pochhammer rewriting, grid derivatives, and normalization."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -81,6 +82,23 @@ class TestNumericPochhammer:
 
     def test_vanishing(self):
         assert q_pochhammer_numeric(0, 3).is_zero()
+
+    def test_matches_schoolbook_product(self):
+        # every window [e, e+f-1] with e in [-6, 6] and f <= 10, the zero
+        # windows (those that hold 1 - q^0) included
+        for e, f in product(range(-6, 7), range(11)):
+            expected = Counter({0: 1})
+            for t in range(e, e + f):
+                step = Counter()
+                for k, c in expected.items():
+                    step[k] += c
+                    step[k + t] -= c
+                expected = step
+            got = q_pochhammer_numeric(e, f)
+            assert got == QPoly(expected)
+            assert got.is_zero() == (e <= 0 < e + f)
+        with pytest.raises(ValueError):
+            q_pochhammer_numeric(1, -1)
 
 
 class TestMultinomialNumeric:
@@ -237,7 +255,7 @@ class TestPhiPrime:
                     for t in range(d + 1):
                         if t != j:
                             direct = direct * (
-                                QPoly.monomial(c + j) - QPoly.monomial(c + t)
+                                QPoly({c + j: 1}) - QPoly({c + t: 1})
                             )
                     assert equal_as_rational((num, den), (direct, QPoly.one()))
 
