@@ -26,13 +26,7 @@ from .engine import (
 from .errors import InternalInconsistency, UsageError
 from .exactalg import Atom, QPoly, RationalQZ, ZqMonomial, ZqPoly
 from .latticepoints import best_shift
-from .oracle import (
-    SweepConfig,
-    VerificationReport,
-    default_jobs,
-    sweep,
-    verify_query,
-)
+from .oracle import SweepConfig, VerificationReport, sweep, verify_query
 from .symforms import AffineForm
 
 EXIT_OK = 0
@@ -194,10 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("best-shift", help="minimize the evaluation-set size")
-    add_common(p, delta=True)
+    add_common(p, delta=True, formats=("text", "json"))
 
     p = sub.add_parser("verify", help="compare against the brute-force oracle")
-    add_common(p, delta=True)
+    add_common(p, delta=True, formats=("text", "json"))
     p.add_argument("--a", required=True, help="comma-separated positive integers")
     p.add_argument("--shift", default="auto")
 
@@ -205,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="2,3", help="comma-separated variable counts")
     p.add_argument("--a-max", type=int, default=2)
     p.add_argument("--delta-budget", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=None)
-    add_common(p)
+    add_common(p, formats=("text", "json"))
 
     p = sub.add_parser("article", help="self-contained theorem + computation trace")
     add_common(p, delta=True, formats=("text", "latex"))
@@ -357,14 +350,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     n_range = parse_int_vector(args.n, "n")
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    config = SweepConfig(
-        n_range=n_range,
-        a_max=args.a_max,
-        delta_budget=args.delta_budget,
-        jobs=jobs,
+    reports = sweep(
+        SweepConfig(n_range=n_range, a_max=args.a_max, delta_budget=args.delta_budget)
     )
-    reports = sweep(config)
     failures = [r for r in reports if not r.match]
     if args.format == "json":
         body = dumps_canonical(

@@ -14,13 +14,11 @@ combinatorial Nullstellensatz for plain polynomials over the rationals.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Iterator, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 from .engine import CoefficientQuery, ShiftPolicy, coefficient_combined
@@ -64,6 +62,33 @@ class _Expansion(Mapping):
         return len(self._packed)
 
 
+# The largest packed expansion the oracle builds, in bytes, as predicted by
+# _expansion_width: a = (64, 64) predicts 13 MB and (3, 3, 3, 3, 3) 284 MB;
+# (200, 200) predicts 898 MB and did not finish in 60 s unguarded.
+MAX_EXPANSION_BYTES = 2**29
+
+
+def _expansion_width(a: Sequence[int]) -> int:
+    """The q-slot width in bits of expand_qdyson_product(a), after checking
+    the predicted size of the packed product against MAX_EXPANSION_BYTES:
+    keys (each x-exponent lies in a box of side (n-2) a_i + sum(a) + 1, and
+    the exponents sum to 0) times q-slots (the top q-degree plus one) times
+    width."""
+    n = len(a)
+    width = 64 * (((n - 1) * sum(a) + 65) // 64)
+    keys = prod(sorted((n - 2) * x + sum(a) + 1 for x in a)[:-1])
+    # the pair of a_i, a_j (i < j) has top q-degree 0+..+(a_i - 1) + 1+..+a_j
+    pairs = combinations(a, 2)
+    slots = 1 + sum(x * (x - 1) // 2 + y * (y + 1) // 2 for x, y in pairs)
+    size = keys * slots * width // 8
+    if size > MAX_EXPANSION_BYTES:
+        raise UsageError(
+            f"a = {list(a)} predicts a {size:,}-byte oracle expansion, "
+            f"more than the {MAX_EXPANSION_BYTES:,} bytes this library builds"
+        )
+    return width
+
+
 def expand_qdyson_product(a: Sequence[int]) -> Mapping[tuple[int, ...], QPoly]:
     """Exact Laurent expansion of prod_{i<j} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j},
     as {x-exponent vector: coefficient}; absent vectors have coefficient 0.
@@ -85,7 +110,7 @@ def expand_qdyson_product(a: Sequence[int]) -> Mapping[tuple[int, ...], QPoly]:
     # |exponent of x_i| is at most the number of binomials that touch x_i;
     # _offset raises OverflowError if that leaves the packed field range
     _offset([(n - 2) * x + sum(a) for x in a])
-    width = 64 * (((n - 1) * sum(a) + 65) // 64)
+    width = _expansion_width(a)
     out = {_layout(n - 1).bias: 1}
     for i in range(n):
         for j in range(i + 1, n):
@@ -144,6 +169,7 @@ def verify_query(
     a = tuple(a)
     if any(x < 1 for x in a):
         raise ValueError("the symbolic engine requires all a_i >= 1")
+    _expansion_width(a)  # fail before (q)_{sum a} or the expansion is built
     start = time.perf_counter()
     try:
         if rational is None:
@@ -228,14 +254,11 @@ class SweepConfig:
     a_max: int = 2
     delta_budget: int = 2
     shift_policies: tuple[ShiftPolicy, ...] = ("zero", "best")
-    jobs: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "n_range", tuple(sorted(set(self.n_range))))
         if min(self.n_range) < 1 or self.a_max < 1 or self.delta_budget < 0:
             raise UsageError("sweep needs n >= 1, a_max >= 1 and delta_budget >= 0")
-        if self.jobs < 1:
-            raise UsageError("sweep needs jobs >= 1")
         if max(self.n_range) > 4 or self.a_max > 3:
             raise UsageError("sweep bounds exceed desk scale (n <= 4, a <= 3)")
 
@@ -250,15 +273,6 @@ def zero_sum_deltas(n: int, budget: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _sweep_chunk(args) -> list[VerificationReport]:
-    n, a, items = args
-    expansion = expand_qdyson_product(a)
-    return [
-        verify_query(delta, a, shift=policy, expansion=expansion, rational=rational)
-        for delta, policy, rational in items
-    ]
-
-
 def sweep(config: SweepConfig) -> list[VerificationReport]:
     """Deterministic engine-vs-oracle comparison over the configured range;
     mismatches and engine errors are reported as data, never raised."""
@@ -269,26 +283,11 @@ def sweep(config: SweepConfig) -> list[VerificationReport]:
             for policy in config.shift_policies:
                 query = CoefficientQuery(delta=delta, shift=policy)
                 items.append((delta, policy, coefficient_combined(query).rational))
-        avecs = sorted(product(range(1, config.a_max + 1), repeat=n))
-        chunks = [(n, a, items) for a in avecs]
-        if config.jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                for part in pool.map(_sweep_chunk, chunks):
-                    reports.extend(part)
-        else:
-            for chunk in chunks:
-                reports.extend(_sweep_chunk(chunk))
+        for a in product(range(1, config.a_max + 1), repeat=n):
+            expansion = expand_qdyson_product(a)
+            reports.extend(
+                verify_query(delta, a, shift=policy, expansion=expansion, rational=r)
+                for delta, policy, r in items
+            )
     reports.sort(key=lambda r: (len(r.a), r.delta, r.a, str(r.shift)))
     return reports
-
-
-def default_jobs() -> int:
-    """Worker count from QDYSON_JOBS: 1 when unset, else an integer >= 1."""
-    env = os.environ.get("QDYSON_JOBS", "")
-    try:
-        jobs = int(env or 1)
-    except ValueError:
-        raise UsageError(f"QDYSON_JOBS must be an integer, got {env!r}") from None
-    if jobs < 1:
-        raise UsageError(f"QDYSON_JOBS must be >= 1, got {jobs}")
-    return jobs

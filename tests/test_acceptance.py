@@ -28,7 +28,6 @@ from qdyson.exactalg import (
 from qdyson.latticepoints import best_shift, evaluation_set_size
 from qdyson.oracle import (
     SweepConfig,
-    default_jobs,
     grid_coefficient_oracle,
     sweep,
     verify_query,
@@ -131,7 +130,6 @@ def test_criterion_4_oracle_sweep():
             a_max=3,
             delta_budget=4,
             shift_policies=("best",),
-            jobs=max(default_jobs(), 2),
         )
     )
     mismatches = [r for r in reports if not r.match]

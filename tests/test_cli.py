@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +110,12 @@ class TestExitCodes:
             ("sweep", "--n", "2", "--delta-budget", "-1"),
             ("sweep", "--n", "2", "--jobs", "0"),
             ("sweep", "--n", "2", "--jobs", "-3"),
+            ("sweep", "--n", "2", "--jobs", "2"),
+            # text only: LaTeX would print the same bytes as text
+            ("best-shift", "--delta", "1,-1", "--format", "latex"),
+            ("verify", "--delta", "1,-1", "--a", "2,1", "--format", "latex"),
+            ("sweep", "--n", "2", "--a-max", "1", "--delta-budget", "2",
+             "--format", "latex"),
             ("coeff", "--delta", "1,-1", "--radius", "0"),
             ("coeff", "--delta", "1,-1", "--radius", "0", "--shift", "zero"),
             ("best-shift", "--delta", "1,-1", "--radius", "0"),
@@ -115,6 +125,8 @@ class TestExitCodes:
             ("coeff", "--delta=500,-500"),
             ("coeff", "--delta=20000,-20000"),
             ("verify", "--delta", "9000,-9000", "--a", "1,1"),
+            # the oracle's predicted packed product passes MAX_EXPANSION_BYTES
+            ("verify", "--delta", "1,-1", "--a", "200,200"),
         ],
     )
     def test_out_of_range(self, capsys, argv):
@@ -122,6 +134,25 @@ class TestExitCodes:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
+
+
+def test_import_loads_no_process_pool():
+    # the sweep is one serial loop; no CLI call pays to load a worker pool
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import qdyson.cli, sys; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 class TestCoeffOutput:
@@ -286,15 +317,6 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--n", "5")
         assert code == EXIT_USAGE
         assert "usage error" in err
-
-    @pytest.mark.parametrize("value", ["-3", "0", "lots"])
-    def test_bad_jobs_environment(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("QDYSON_JOBS", value)
-        code, out, err = run(
-            capsys, "sweep", "--n", "2", "--a-max", "1", "--delta-budget", "0"
-        )
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err.startswith("usage error: ")
 
     def test_repeated_n_runs_once(self, capsys):
         totals = []

@@ -4,21 +4,29 @@
 pool (all zero-sum deltas with sum |d| <= 4, pinned under the zero shift
 and recomputed under the best shift too) and the n = 5 pool (pinned under
 the default best shift).  This test only reads the file.
+
+``tests/data/formulas_n2_n3.tsv``, in the same format, holds the nonzero
+deltas with n in {2, 3} and sum |d| <= 4, recomputed under both shifts.
 """
 
 import random
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from qdyson.cli import dumps_canonical, formula_json
 from qdyson.engine import CoefficientQuery, coefficient_combined, coefficient_split, combine
+from qdyson.oracle import zero_sum_deltas
 
-CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "formulas.tsv"
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE.parent / "perfbench" / "data" / "formulas.tsv"
+SMALL_CORPUS = HERE / "data" / "formulas_n2_n3.tsv"
 
 
-def pinned_pool(n):
+def pinned_pool(n, path=CORPUS):
     pinned = {}
-    for line in CORPUS.read_text().splitlines():
+    for line in path.read_text().splitlines():
         key, formula = line.split("\t")
         delta = tuple(int(x) for x in key.split(","))
         if len(delta) == n:
@@ -37,6 +45,15 @@ def mismatched(pinned, shift):
         )
         != formula
     ]
+
+
+@pytest.mark.parametrize("shift", ["zero", "best"])
+def test_n2_n3_pool_recomputes_byte_identical(shift):
+    pinned = {**pinned_pool(2, SMALL_CORPUS), **pinned_pool(3, SMALL_CORPUS)}
+    expected = [d for n in (2, 3) for d in zero_sum_deltas(n, 4) if any(d)]
+    assert sorted(pinned) == sorted(expected) and len(pinned) == 22
+    assert len(SMALL_CORPUS.read_text().splitlines()) == 22
+    assert mismatched(pinned, shift) == []
 
 
 def test_n4_pool_recomputes_byte_identical():

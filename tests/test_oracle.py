@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyson.errors import DuplicateNode
+from qdyson.errors import DuplicateNode, UsageError
 from qdyson.exactalg import QPoly, RationalQZ, equal_as_rational
 from qdyson.oracle import (
     SweepConfig,
@@ -132,6 +132,36 @@ class TestExpansion:
             expand_qdyson_product(())
         with pytest.raises(ValueError):
             expand_qdyson_product((1, -1))
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "a", [(1, 1), (2, 1, 3), (3, 3, 3, 3), (11, 11, 11), (40, 40)]
+    )
+    def test_prediction_bounds_the_packed_product(self, monkeypatch, a):
+        packed = expand_qdyson_product(a)._packed
+        actual = sum(v.bit_length() for v in packed.values()) // 8
+        monkeypatch.setattr(oracle, "MAX_EXPANSION_BYTES", actual - 1)
+        with pytest.raises(UsageError, match=f"more than the {actual - 1:,} bytes"):
+            expand_qdyson_product(a)
+
+    def test_fails_before_the_first_binomial(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("built before the size check")
+
+        monkeypatch.setattr(oracle, "_times_one_minus", forbidden)
+        predicted = r"a = \[200, 200\] predicts a 898,262,456-byte"
+        with pytest.raises(UsageError, match=predicted):
+            expand_qdyson_product((200, 200))
+
+    def test_verify_fails_before_the_q_multinomial(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("built before the size check")
+
+        monkeypatch.setattr(oracle, "q_multinomial_numeric", forbidden)
+        monkeypatch.setattr(oracle, "expand_qdyson_product", forbidden)
+        with pytest.raises(UsageError, match="oracle expansion"):
+            verify_query((1, -1), (200, 200))
 
 
 def fully_decoded(expansion):
@@ -334,10 +364,3 @@ class TestSweep:
         r1 = [((r.delta, r.a, r.shift)) for r in sweep(config)]
         r2 = [((r.delta, r.a, r.shift)) for r in sweep(config)]
         assert r1 == r2
-
-    def test_parallel_matches_serial(self):
-        serial = sweep(SweepConfig(n_range=(2,), a_max=2, delta_budget=2, jobs=1))
-        parallel = sweep(SweepConfig(n_range=(2,), a_max=2, delta_budget=2, jobs=2))
-        assert [(r.delta, r.a, r.match) for r in serial] == [
-            (r.delta, r.a, r.match) for r in parallel
-        ]
