@@ -33,6 +33,7 @@ from .exactalg import (
     Atom,
     QPoly,
     RationalQZ,
+    Summand,
     ZqMonomial,
     ZqPoly,
     equal_as_rational,

@@ -102,7 +102,7 @@ def split_json(split: SplitResult) -> dict:
                     "m": list(pt.m),
                     "alpha": [_affine_json(f) for f in pt.alpha],
                 },
-                "formula": formula_json(r),
+                "formula": formula_json(r.rational()),
             }
             for pt, r in split.terms
         ],
@@ -289,7 +289,7 @@ def cmd_coeff(args) -> int:
             for k, (pt, r) in enumerate(split.terms):
                 lines.append(
                     f"term {k + 1}: pi={list(pt.pi)} m={list(pt.m)} "
-                    f"R_k = {r.render(latex)}"
+                    f"R_k = {r.rational().render(latex)}"
                 )
             lines.append(f"total terms: {len(split.terms)}")
             body = note + "\n".join(lines) + "\n"
@@ -401,7 +401,7 @@ def cmd_article(args) -> int:
     lines.append("")
     lines.append("Per-point rational summands:")
     for k, (_, r) in enumerate(split.terms):
-        lines.append(f"  R_{k + 1} = {r.render(latex)}")
+        lines.append(f"  R_{k + 1} = {r.rational().render(latex)}")
     lines.append("")
     lines.append("Verification appendix:")
     for sample in ((1,) * n, (2,) * n):

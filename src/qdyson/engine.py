@@ -3,19 +3,20 @@
 For a target exponent vector delta (summing to zero), the coefficient of
 prod x_i^{delta_i} in the q-Dyson product equals R(q, q^{a_1},..,q^{a_n})
 times the q-multinomial coefficient.  Each evaluation point contributes one
-simple rational summand (the split form, ``coefficient_split``); ``combine``
-adds them over a common atom denominator (the combined form).  Callers run
-the pipeline only through these two functions.
+factored summand, a ratio of atom products (the split form,
+``coefficient_split``); ``combine`` adds them over a common atom denominator
+(the combined form), and only that sum is expanded.  Callers run the
+pipeline only through these two functions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import InternalInconsistency, UsageError
-from .exactalg import RationalQZ, ZqPoly
+from .exactalg import RationalQZ, Summand, ZqMonomial, ZqPoly
 from .latticepoints import (
     EvaluationPoint,
     best_shift,
@@ -28,6 +29,7 @@ from .qpochhammer import (
     normalize_to_rational,
     phi_prime_at_point,
 )
+from .symforms import AffineForm
 
 ShiftPolicy = Union[str, tuple[int, ...]]
 
@@ -69,7 +71,7 @@ class CoefficientQuery:
 class SplitResult:
     """Per-point rational summands; their sum is the combined R."""
 
-    terms: tuple[tuple[EvaluationPoint, RationalQZ], ...]
+    terms: tuple[tuple[EvaluationPoint, Summand], ...]
     shift_used: tuple[int, ...]
     delta: tuple[int, ...]
 
@@ -82,20 +84,24 @@ class CombinedResult:
     delta: tuple[int, ...]
 
 
-def point_rational(point: EvaluationPoint, grid, n: int) -> RationalQZ:
+def point_rational(
+    point: EvaluationPoint, phis: Mapping[tuple[int, AffineForm], QExpr], n: int
+) -> Summand:
     """The summand of the interpolation-grid sum at one evaluation point,
-    divided by the q-multinomial coefficient."""
+    divided by the q-multinomial coefficient; phis maps each (i, alpha_i)
+    to phi' of grid coordinate i there."""
     value = evaluate_product_at_point(point.alpha)
     if value.is_zero():
         raise InternalInconsistency(
             f"enumerated point {point.pi}, m={point.m} evaluates to zero"
         )
-    phis = [phi_prime_at_point(i, x, grid) for i, x in enumerate(point.alpha)]
-    return normalize_to_rational(value / QExpr.product(n, phis), n)
+    phi = QExpr.product(n, [phis[i, x] for i, x in enumerate(point.alpha)])
+    return normalize_to_rational(value / phi, n)
 
 
 def coefficient_split(query: CoefficientQuery) -> SplitResult:
-    """One rational summand per evaluation point."""
+    """One rational summand per evaluation point; phi' is evaluated once per
+    distinct grid value (i, alpha_i) of the set."""
     n = query.n
     if sum(query.delta) != 0:
         return SplitResult(terms=(), shift_used=(0,) * n, delta=query.delta)
@@ -107,22 +113,27 @@ def coefficient_split(query: CoefficientQuery) -> SplitResult:
             f"more than the {MAX_POINTS:,} this library enumerates"
         )
     evalset = enumerate_evaluation_set(query.delta, shift)
-    terms = tuple(
-        (pt, point_rational(pt, evalset.grid, n)) for pt in evalset.points
+    values = dict.fromkeys(
+        (i, x) for pt in evalset.points for i, x in enumerate(pt.alpha)
     )
+    phis = {(i, x): phi_prime_at_point(i, x, evalset.grid) for i, x in values}
+    terms = tuple((pt, point_rational(pt, phis, n)) for pt in evalset.points)
     return SplitResult(terms=terms, shift_used=shift, delta=query.delta)
 
 
-def combine_sum(terms: Sequence[RationalQZ], n: int) -> RationalQZ:
-    """Exact sum over the least common multiple of the atom denominators."""
+def combine_sum(terms: Sequence[Summand], n: int) -> RationalQZ:
+    """Exact sum over the least common multiple of the atom denominators.
+
+    Each summand enters ``ZqPoly.sum_of`` as its sign and unit monomial with
+    its numerator atoms and the LCM atoms it lacks, so atoms that several
+    summands share, numerator atoms included, are multiplied in once.
+    """
     lcm: Counter = Counter()
     for t in terms:
         for atom, mult in t.denom:
             lcm[atom] = max(lcm[atom], mult)
-    total = ZqPoly.sum_of(
-        n, [(t.cleared_numer(), lcm - t.denom_counter()) for t in terms]
-    )
-    return RationalQZ.make(1, RationalQZ.one(n).unit, total, lcm)
+    total = ZqPoly.sum_of(n, [t.cleared(lcm - t.denom_counter()) for t in terms])
+    return RationalQZ.make(1, ZqMonomial.identity(n), total, lcm)
 
 
 def combine(split: SplitResult) -> CombinedResult:

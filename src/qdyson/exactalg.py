@@ -1,6 +1,6 @@
 """Exact arbitrary-precision arithmetic.
 
-Three sparse representations, all immutable in practice:
+Four sparse representations, all immutable in practice:
 
 * ``QPoly`` -- integer Laurent polynomial in q.  A product is one big-int
   multiply: each factor is packed into one int under the Kronecker
@@ -16,7 +16,11 @@ Three sparse representations, all immutable in practice:
   ((qexp, zexp), coeff) pairs.  ``ZqPoly.sum_of``, the one summation kernel,
   factors out the atom most terms share and multiplies by it once, in place;
 * ``RationalQZ`` -- sign * monomial * polynomial over a multiset of
-  denominator atoms 1 - q^c * z^v, never expanded.
+  denominator atoms 1 - q^c * z^v, never expanded;
+* ``Summand`` -- sign * monomial * a multiset of numerator atoms over a
+  multiset of denominator atoms: one evaluation point's term, kept factored
+  until it is summed (``cleared`` gives its ``sum_of`` pair, which shares
+  numerator atoms across summands too) or rendered (``rational``).
 
 Each of ``ZqPoly`` and ``RationalQZ`` renders itself as text (``str``) or
 LaTeX (``render(latex=True)``); ``QPoly``'s text uses ZqPoly's term renderer.
@@ -277,6 +281,11 @@ class Atom:
 
     def sort_key(self):
         return (self.qexp, self.zexp)
+
+
+def _atom_tuple(atoms: Mapping[Atom, int]) -> tuple[tuple[Atom, int], ...]:
+    """A multiset of atoms as (atom, multiplicity) pairs in sort_key order."""
+    return tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
 
 
 def _atom_str(atom: Atom, mult: int, latex: bool) -> str:
@@ -620,12 +629,7 @@ class RationalQZ:
             if mult:
                 remaining[atom] = mult
         reduced, mono, s = numer.extract_unit()
-        return RationalQZ(
-            sign * s,
-            unit * mono,
-            reduced,
-            tuple(sorted(remaining.items(), key=lambda kv: kv[0].sort_key())),
-        )
+        return RationalQZ(sign * s, unit * mono, reduced, _atom_tuple(remaining))
 
     def cleared_numer(self, extra_denom: Mapping[Atom, int] = ()) -> ZqPoly:
         """sign * unit * numer * prod(extra atoms) as a single ZqPoly."""
@@ -653,6 +657,45 @@ class RationalQZ:
         return f"{sign}{num} / ({den})"
 
     __str__ = render
+
+
+@dataclass(frozen=True)
+class Summand:
+    """sign * unit * prod(numer atoms) / prod(denom atoms); one point's term
+    of the grid sum.
+
+    Both multisets are sorted tuples of (atom, multiplicity) pairs, kept
+    factored into the combine; ``rational`` expands the numerator for output.
+    """
+
+    sign: int
+    unit: ZqMonomial
+    numer: tuple[tuple[Atom, int], ...]
+    denom: tuple[tuple[Atom, int], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.unit.zexp)
+
+    def denom_counter(self) -> Counter:
+        return Counter(dict(self.denom))
+
+    def cleared(self, extra_denom: Mapping[Atom, int]) -> tuple[ZqPoly, Counter]:
+        """(sign * unit, numerator atoms plus extra atoms): a ``sum_of`` pair."""
+        atoms = Counter(dict(self.numer))
+        atoms.update(extra_denom)
+        unit = ZqPoly.monomial(self.n, self.unit.qexp, self.unit.zexp, self.sign)
+        return unit, atoms
+
+    def cleared_numer(self, extra_denom: Mapping[Atom, int] = ()) -> ZqPoly:
+        """sign * unit * prod(numer atoms) * prod(extra atoms) as one ZqPoly."""
+        return ZqPoly.sum_of(self.n, [self.cleared(extra_denom)])
+
+    def rational(self) -> RationalQZ:
+        """The canonical RationalQZ, with no trial division: no denominator
+        atom divides the numerator (see ``normalize_to_rational``)."""
+        numer, mono, sign = self.cleared_numer().extract_unit()
+        return RationalQZ(sign, mono, numer, self.denom)
 
 
 def substitute_z(r: RationalQZ, a: Sequence[int]) -> tuple[QPoly, QPoly]:

@@ -9,9 +9,11 @@ coefficients in (1/2)Z, and each L an affine-linear form in a_1..a_n with
 nonnegative generic sign.
 Evaluations of the cleared q-Dyson product and of the grid node-polynomial
 derivatives both land here, one Pochhammer window per pair and one
-``QExpr.product`` per point.  ``normalize_to_rational`` then divides out the
-q-multinomial coefficient and collapses what survives into a factored
-rational function of q and z_1..z_n (z_i = q^{a_i}).
+``QExpr.product`` per point; the parts of the product that do not depend on
+the point are built once per n.  ``normalize_to_rational`` then divides out
+the q-multinomial coefficient and collapses what survives into a
+``Summand``: a sign and monomial in q and z_1..z_n (z_i = q^{a_i}) times a
+ratio of atom multisets, with the numerator left unexpanded.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .errors import InternalInconsistency, MixedSign
-from .exactalg import Atom, QPoly, RationalQZ, ZqMonomial, ZqPoly
-from .exactalg import _divide_one_minus, _times_one_minus
+from .exactalg import Atom, QPoly, Summand, ZqMonomial
+from .exactalg import _atom_tuple, _divide_one_minus, _times_one_minus
 from .symforms import (
     AffineForm,
     QuadForm,
@@ -202,6 +204,19 @@ class GridSpec:
         return len(self.lower)
 
 
+@cache
+def _pair_terms(n: int) -> tuple:
+    """What ``evaluate_product_at_point`` needs at n that no point changes:
+    each pair's (i, j, a_j, a_i + a_j), the sign exponent sum_{i<j} a_j,
+    the q-power sum_{i<j} binom(a_j + 1, 2), and per j the factor
+    g_j = sum_{i<j} (a_i + a_j) of alpha_j in the linear q-power."""
+    a = [AffineForm.param(n, i) for i in range(n)]
+    pairs = tuple((i, j, a[j], a[i] + a[j]) for i in range(n) for j in range(i + 1, n))
+    qexp = sum((QuadForm.choose2(aj + 1) for _, _, aj, _ in pairs), QuadForm.zero(n))
+    g = [AffineForm(0, (1,) * j + (j,) + (0,) * (n - j - 1)) for j in range(n)]
+    return pairs, AffineForm(0, tuple(range(n))), qexp, g
+
+
 def evaluate_product_at_point(alpha: Sequence[AffineForm]) -> QExpr:
     """The cleared q-Dyson product F at x_i = q^{alpha_i}.
 
@@ -212,23 +227,20 @@ def evaluate_product_at_point(alpha: Sequence[AffineForm]) -> QExpr:
 
         (-1)^{a_j} q^{alpha_j (a_i + a_j) + binom(a_j + 1, 2)} (q^{e - a_j})_{a_i + a_j}
 
-    So each pair i < j costs one Pochhammer rewrite; the pairs' signs and
-    q-powers are summed into one more factor of the point's single product.
+    So each pair i < j costs one Pochhammer rewrite.  The signs and the
+    binomial q-powers do not depend on the point, and the linear q-powers
+    sum to sum_j alpha_j g_j; they make one more factor of the point's
+    single product.
     """
     n = len(alpha)
-    parity, qexp = AffineForm.const(n, 0), QuadForm.zero(n)
+    pairs, parity, qexp, g = _pair_terms(n)
     windows = []
-    for i in range(n):
-        ai = AffineForm.param(n, i)
-        for j in range(i + 1, n):
-            aj = AffineForm.param(n, j)
-            f = ai + aj
-            window = rewrite_pochhammer(alpha[i] - alpha[j] - aj, f)
-            if window.is_zero():
-                return window
-            windows.append(window)
-            parity = parity + aj
-            qexp = qexp + QuadForm.from_product(alpha[j], f) + QuadForm.choose2(aj + 1)
+    for i, j, aj, f in pairs:
+        window = rewrite_pochhammer(alpha[i] - alpha[j] - aj, f)
+        if window.is_zero():
+            return window
+        windows.append(window)
+    qexp = sum((QuadForm.from_product(alpha[j], g[j]) for j in range(1, n)), qexp)
     return QExpr.product(n, [QExpr(n, parity, qexp, ()), *windows])
 
 
@@ -294,13 +306,20 @@ def _pair_group(
                 den_atoms[Atom(t, vec)] += 1
 
 
-def normalize_to_rational(expr: QExpr, n: int) -> RationalQZ:
+def normalize_to_rational(expr: QExpr, n: int) -> Summand:
     """Divide a q-expression by the q-multinomial coefficient and collapse
     the survivors into a factored rational function of q and z_1..z_n.
 
     The a-dependent signs and quadratic q-exponents must cancel and every
     surviving (q)_L group must pair up; any leftover contradicts the
-    rationality of the coefficient and aborts.
+    rationality of the coefficient and aborts.  So do a constant-index
+    (q)_m in the numerator, a numerator atom with a z-exponent above 1, and
+    an atom on both sides.  Past those checks every numerator atom
+    1 - q^t z^v has a nonzero 0/1 vector v, so it is irreducible, and every
+    atom's v is nonnegative (each (q)_L index is generically >= 0).  A
+    denominator atom could then divide the numerator only by being one of
+    its atoms, so no trial division can win: the numerator stays a product
+    of atoms, and ``Summand.rational`` expands it only for output.
     """
     if expr.is_zero():
         raise InternalInconsistency("cannot normalize the zero q-expression")
@@ -315,11 +334,12 @@ def normalize_to_rational(expr: QExpr, n: int) -> RationalQZ:
             continue
         if not any(index.coeffs):
             m = index.constant
-            if m < 0:
-                raise InternalInconsistency(f"numeric factor (q)_{m} with m < 0")
-            side = num_atoms if exp > 0 else den_atoms
+            if m < 0 or exp > 0:
+                raise InternalInconsistency(
+                    f"numeric factor (q)_{m} with exponent {exp} survives"
+                )
             for s in range(1, m + 1):
-                side[Atom(s, (0,) * n)] += abs(exp)
+                den_atoms[Atom(s, (0,) * n)] -= exp
             continue
         sides = groups.setdefault(index.coeffs, ([], []))
         sides[exp < 0].extend([index.constant] * abs(exp))
@@ -327,6 +347,12 @@ def normalize_to_rational(expr: QExpr, n: int) -> RationalQZ:
     for vec in sorted(groups):
         numers, denoms = groups[vec]
         _pair_group(vec, numers, denoms, num_atoms, den_atoms)
+    for atom in num_atoms:
+        if max(atom.zexp) > 1 or atom in den_atoms:
+            raise InternalInconsistency(
+                f"numerator atom {atom} has a z-exponent above 1 or is also "
+                "a denominator atom"
+            )
 
     bit = parity_reduce(expr.parity)
     if bit is None:
@@ -334,10 +360,12 @@ def normalize_to_rational(expr: QExpr, n: int) -> RationalQZ:
             f"a-dependent sign survives normalization: {expr.parity}"
         )
     exponent = quad_finalize(expr.qexp)
-    unit = ZqMonomial(exponent.constant, exponent.coeffs)
-
-    numer = ZqPoly.sum_of(n, [(ZqPoly.one(n), num_atoms)])
-    return RationalQZ.make(-1 if bit else 1, unit, numer, den_atoms)
+    return Summand(
+        -1 if bit else 1,
+        ZqMonomial(exponent.constant, exponent.coeffs),
+        _atom_tuple(num_atoms),
+        _atom_tuple(den_atoms),
+    )
 
 
 def q_pochhammer_numeric(e: int, f: int) -> QPoly:

@@ -530,7 +530,7 @@ class TestPinnedBytes:
         delta = parse_int_vector(args.delta, "delta")
         query = CoefficientQuery(delta=delta, shift=parse_shift(args.shift, len(delta)))
         if args.split:
-            rationals = [r for _, r in coefficient_split(query).terms]
+            rationals = [r.rational() for _, r in coefficient_split(query).terms]
             marker = " R_k = "
         else:
             rationals = [coefficient_combined(query).rational]

@@ -16,7 +16,7 @@ from qdyson.engine import (
     equivalent,
 )
 from qdyson.errors import UsageError
-from qdyson.exactalg import Atom, RationalQZ, ZqMonomial, ZqPoly
+from qdyson.exactalg import Atom, RationalQZ, Summand, ZqMonomial, ZqPoly
 from qdyson.latticepoints import evaluation_set_size
 
 
@@ -61,7 +61,7 @@ class TestSplit:
         split = coefficient_split(CoefficientQuery(delta=(1, -1), shift="zero"))
         assert len(split.terms) == 1
         _, r = split.terms[0]
-        assert r == closed_form_one_minus_one()
+        assert r.rational() == closed_form_one_minus_one()
 
     def test_unbalanced_delta_is_empty(self):
         split = coefficient_split(CoefficientQuery(delta=(1, 0), shift="zero"))
@@ -86,6 +86,35 @@ class TestSplit:
             combined = coefficient_combined(query)
             assert combine_sum([r for _, r in split.terms], n) == combined.rational
             assert combined.point_count == len(split.terms)
+
+
+class TestSplitWork:
+    def test_phi_prime_once_per_grid_value(self, monkeypatch):
+        calls = []
+        real = engine.phi_prime_at_point
+
+        def counted(i, x, grid):
+            calls.append((i, x))
+            return real(i, x, grid)
+
+        monkeypatch.setattr(engine, "phi_prime_at_point", counted)
+        split = coefficient_split(CoefficientQuery(delta=(-2, 0, 0, 2), shift="zero"))
+        values = {(i, x) for pt, _ in split.terms for i, x in enumerate(pt.alpha)}
+        assert len(split.terms) == 36
+        assert len(calls) == len(set(calls)) == len(values) < 4 * 36
+        assert set(calls) == values
+
+    def test_cleared_terms_count(self):
+        # perfbench's engine.cleared_terms sums these lengths; 253,038 is the
+        # count with every summand's numerator expanded first
+        split = coefficient_split(CoefficientQuery(delta=(-2, 0, 0, 2), shift="zero"))
+        terms = [summand for _, summand in split.terms]
+        lcm = Counter()
+        for t in terms:
+            for atom, mult in t.denom:
+                lcm[atom] = max(lcm[atom], mult)
+        cleared = [t.cleared_numer(lcm - t.denom_counter()) for t in terms]
+        assert sum(len(poly.items()) for poly in cleared) == 253_038
 
 
 class TestCombined:
@@ -113,7 +142,7 @@ class TestCombined:
 
 def split_summands(delta, shift):
     split = coefficient_split(CoefficientQuery(delta=delta, shift=shift))
-    return [(pt.pi, pt.m, formula_json(r)) for pt, r in split.terms]
+    return [(pt.pi, pt.m, formula_json(r.rational())) for pt, r in split.terms]
 
 
 class TestConstantOffset:
@@ -137,23 +166,28 @@ class TestConstantOffset:
                 assert split_summands(delta, moved) == expected, (delta, k)
 
 
+def summand(n, sign, numer, denom):
+    return Summand(sign, ZqMonomial.identity(n), tuple(numer.items()), tuple(denom.items()))
+
+
 class TestCombineSum:
     def test_empty(self):
         assert combine_sum([], 2) == RationalQZ.zero(2)
 
     def test_single_term_unchanged(self):
-        r = closed_form_one_minus_one()
-        assert combine_sum([r], 2) == r
+        # -(1 - z1)/(1 - q z2)
+        s = summand(2, -1, {Atom(0, (1, 0)): 1}, {Atom(1, (0, 1)): 1})
+        assert combine_sum([s], 2) == closed_form_one_minus_one()
 
     def test_cancelling_pair(self):
-        r = closed_form_one_minus_one()
-        neg = rq(2, 1, {(0, (0, 0)): 1, (0, (1, 0)): -1}, {Atom(1, (0, 1)): 1})
-        assert combine_sum([r, neg], 2).is_zero()
+        s = summand(2, -1, {Atom(0, (1, 0)): 1}, {Atom(1, (0, 1)): 1})
+        neg = summand(2, 1, {Atom(0, (1, 0)): 1}, {Atom(1, (0, 1)): 1})
+        assert combine_sum([s, neg], 2).is_zero()
 
     def test_common_denominator(self):
         # 1/(1-qz1) + 1/(1-qz2) = (2 - qz1 - qz2)/((1-qz1)(1-qz2))
-        t1 = rq(2, 1, {(0, (0, 0)): 1}, {Atom(1, (1, 0)): 1})
-        t2 = rq(2, 1, {(0, (0, 0)): 1}, {Atom(1, (0, 1)): 1})
+        t1 = summand(2, 1, {}, {Atom(1, (1, 0)): 1})
+        t2 = summand(2, 1, {}, {Atom(1, (0, 1)): 1})
         total = combine_sum([t1, t2], 2)
         expected = rq(
             2,
@@ -162,6 +196,18 @@ class TestCombineSum:
             {Atom(1, (1, 0)): 1, Atom(1, (0, 1)): 1},
         )
         assert total == expected
+
+    def test_shared_numerator_atom(self):
+        # (1 - z1)/(1 - q z2) + (1 - z1) z2/(1 - q z2) = (1 - z1)(1 + z2)/(1 - q z2)
+        t1 = summand(2, 1, {Atom(0, (1, 0)): 1}, {Atom(1, (0, 1)): 1})
+        t2 = Summand(1, ZqMonomial(0, (0, 1)), ((Atom(0, (1, 0)), 1),), ((Atom(1, (0, 1)), 1),))
+        expected = rq(
+            2,
+            1,
+            {(0, (0, 0)): 1, (0, (1, 0)): -1, (0, (0, 1)): 1, (0, (1, 1)): -1},
+            {Atom(1, (0, 1)): 1},
+        )
+        assert combine_sum([t1, t2], 2) == expected
 
 
 class TestEquivalent:

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from qdyson.engine import CoefficientQuery
+from qdyson.engine import CoefficientQuery, coefficient_split
 from qdyson.errors import InternalInconsistency, MixedSign
 from qdyson.exactalg import Atom, QPoly, RationalQZ, ZqMonomial, ZqPoly, equal_as_rational, substitute_z
 from qdyson.qpochhammer import (
@@ -20,6 +20,7 @@ from qdyson.qpochhammer import (
     rewrite_pochhammer,
 )
 from qdyson.latticepoints import enumerate_evaluation_set
+from qdyson.oracle import zero_sum_deltas
 from qdyson.symforms import AffineForm
 
 
@@ -296,14 +297,14 @@ class TestNormalize:
         expr = QExpr.build(
             2, QExpr.identity(2).parity, QExpr.identity(2).qexp, q_multinomial_symbols(2)
         )
-        assert normalize_to_rational(expr, 2) == RationalQZ.one(2)
+        assert normalize_to_rational(expr, 2).rational() == RationalQZ.one(2)
 
     def test_single_pairing_step(self):
         poch = q_multinomial_symbols(2)
         poch[a1(2) + 1] += 1
         poch[a1(2)] -= 1
         expr = QExpr.build(2, QExpr.identity(2).parity, QExpr.identity(2).qexp, poch)
-        result = normalize_to_rational(expr, 2)
+        result = normalize_to_rational(expr, 2).rational()
         expected = RationalQZ.make(
             1,
             ZqMonomial.identity(2),
@@ -324,6 +325,24 @@ class TestNormalize:
         with pytest.raises(InternalInconsistency):
             normalize_to_rational(expr, 2)
 
+    def test_numeric_factor_in_numerator_aborts(self):
+        # (q)_2 left in the numerator gives the q-only atoms 1 - q and
+        # 1 - q^2, which a denominator atom 1 - q could divide
+        poch = q_multinomial_symbols(2)
+        poch[const(2, 2)] += 1
+        expr = QExpr.build(2, QExpr.identity(2).parity, QExpr.identity(2).qexp, poch)
+        with pytest.raises(InternalInconsistency):
+            normalize_to_rational(expr, 2)
+
+    def test_reducible_numerator_atom_aborts(self):
+        # (q)_{2 a1 + 2} / (q)_{2 a1} gives 1 - q^2 z1^2 = (1 - q z1)(1 + q z1)
+        poch = q_multinomial_symbols(2)
+        poch[a1(2).scale(2) + 2] += 1
+        poch[a1(2).scale(2)] -= 1
+        expr = QExpr.build(2, QExpr.identity(2).parity, QExpr.identity(2).qexp, poch)
+        with pytest.raises(InternalInconsistency):
+            normalize_to_rational(expr, 2)
+
     def test_round_trip_at_numeric_a(self):
         # every normalized point value times the multinomial must equal the
         # original q-expression, numerically
@@ -339,7 +358,7 @@ class TestNormalize:
                 for i in range(n):
                     phi = phi * phi_prime_at_point(i, pt.alpha[i], evalset.grid)
                 expr = value / phi
-                r = normalize_to_rational(expr, n)
+                r = normalize_to_rational(expr, n).rational()
                 # a large enough that all symbolic (q)_L indices are >= 0
                 for a in product((3, 4), repeat=n):
                     rn, rd = substitute_z(r, a)
@@ -351,3 +370,28 @@ class TestNormalize:
     def test_no_unit_poch_factor_stored(self):
         expr = rewrite_pochhammer(const(1, 1), a1())
         assert all(not idx.is_zero() for idx, _ in expr.poch)
+
+
+def expanded_rational(summand):
+    """The summand as normalization used to build it: its numerator atoms
+    multiplied out one at a time, then ``RationalQZ.make``'s trial division."""
+    numer = ZqPoly.one(summand.n)
+    for atom, mult in summand.numer:
+        for _ in range(mult):
+            numer = numer.mul_atom(atom)
+    return RationalQZ.make(summand.sign, summand.unit, numer, summand.denom_counter())
+
+
+class TestSummand:
+    @pytest.mark.parametrize("n,shift", [(4, "zero"), (5, "best")])
+    def test_pool_summands_match_the_expanded_form(self, n, shift):
+        # no trial division could cancel an atom, so the canonical form needs
+        # none, and the cleared numerator is the expanded one's
+        for delta in zero_sum_deltas(n, 4):
+            split = coefficient_split(CoefficientQuery(delta=delta, shift=shift))
+            terms = [summand for _, summand in split.terms]
+            for prev, summand in zip(terms[-1:] + terms[:-1], terms):
+                reference = expanded_rational(summand)
+                assert summand.rational() == reference, delta
+                extra = prev.denom_counter()
+                assert summand.cleared_numer(extra) == reference.cleared_numer(extra), delta
