@@ -384,13 +384,14 @@ def cmd_article(args) -> int:
     split = coefficient_split(CoefficientQuery(delta=delta, shift=shift))
     result = combine(split)
 
+    variables = "1 variable" if n == 1 else f"{n} variables"
     lines = []
     lines.append("Theorem.")
     lines.append(
         f"  The coefficient of "
         + " ".join(f"x{i + 1}^{d}" for i, d in enumerate(delta))
         + " in the q-Dyson product in "
-        + f"{n} variables equals R * {render_multinomial(n, latex)}, where"
+        + f"{variables} equals R * {render_multinomial(n, latex)}, where"
     )
     lines.append(f"  R = {result.rational.render(latex)}")
     lines.append("")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import InternalInconsistency, UsageError
 from .exactalg import RationalQZ, Summand, ZqMonomial, ZqPoly
@@ -23,13 +23,7 @@ from .latticepoints import (
     enumerate_evaluation_set,
     evaluation_set_size,
 )
-from .qpochhammer import (
-    QExpr,
-    evaluate_product_at_point,
-    normalize_to_rational,
-    phi_prime_at_point,
-)
-from .symforms import AffineForm
+from .qpochhammer import flat, phi_prime_flat, point_summand
 
 ShiftPolicy = Union[str, tuple[int, ...]]
 
@@ -84,21 +78,6 @@ class CombinedResult:
     delta: tuple[int, ...]
 
 
-def point_rational(
-    point: EvaluationPoint, phis: Mapping[tuple[int, AffineForm], QExpr], n: int
-) -> Summand:
-    """The summand of the interpolation-grid sum at one evaluation point,
-    divided by the q-multinomial coefficient; phis maps each (i, alpha_i)
-    to phi' of grid coordinate i there."""
-    value = evaluate_product_at_point(point.alpha)
-    if value.is_zero():
-        raise InternalInconsistency(
-            f"enumerated point {point.pi}, m={point.m} evaluates to zero"
-        )
-    phi = QExpr.product(n, [phis[i, x] for i, x in enumerate(point.alpha)])
-    return normalize_to_rational(value / phi, n)
-
-
 def coefficient_split(query: CoefficientQuery) -> SplitResult:
     """One rational summand per evaluation point; phi' is evaluated once per
     distinct grid value (i, alpha_i) of the set."""
@@ -113,11 +92,13 @@ def coefficient_split(query: CoefficientQuery) -> SplitResult:
             f"more than the {MAX_POINTS:,} this library enumerates"
         )
     evalset = enumerate_evaluation_set(query.delta, shift)
-    values = dict.fromkeys(
-        (i, x) for pt in evalset.points for i, x in enumerate(pt.alpha)
+    alphas = [tuple(map(flat, pt.alpha)) for pt in evalset.points]
+    values = dict.fromkeys((i, x) for alpha in alphas for i, x in enumerate(alpha))
+    phis = {(i, x): phi_prime_flat(i, x, evalset.grid) for i, x in values}
+    terms = tuple(
+        (pt, point_summand(alpha, [phis[i, x] for i, x in enumerate(alpha)]))
+        for pt, alpha in zip(evalset.points, alphas)
     )
-    phis = {(i, x): phi_prime_at_point(i, x, evalset.grid) for i, x in values}
-    terms = tuple((pt, point_rational(pt, phis, n)) for pt in evalset.points)
     return SplitResult(terms=terms, shift_used=shift, delta=query.delta)
 
 

@@ -6,14 +6,19 @@ A ``QExpr`` is a value of the shape
 
 where parity is an affine form read mod 2, qexp a quadratic form with
 coefficients in (1/2)Z, and each L an affine-linear form in a_1..a_n with
-nonnegative generic sign.
-Evaluations of the cleared q-Dyson product and of the grid node-polynomial
-derivatives both land here, one Pochhammer window per pair and one
-``QExpr.product`` per point; the parts of the product that do not depend on
-the point are built once per n.  ``normalize_to_rational`` then divides out
-the q-multinomial coefficient and collapses what survives into a
-``Summand``: a sign and monomial in q and z_1..z_n (z_i = q^{a_i}) times a
-ratio of atom multisets, with the numerator left unexpanded.
+nonnegative generic sign.  ``evaluate_product_at_point`` (one Pochhammer
+window per pair, one ``QExpr.product`` per point) and
+``phi_prime_at_point`` build such values; they are the symbolic reference.
+
+The engine takes a faster route to the same values.  Each affine form is a
+flat int tuple (constant, coefficients), and ``point_summand`` adds every
+pair window, the phi' of each coordinate (``phi_prime_flat``, built once per
+grid value) and the q-multinomial into three integer accumulators, with no
+``QExpr`` per point.  ``_normalize`` is the one normalizer: it pairs the
+(q)_L factors, runs every exactness abort and returns a ``Summand``, a sign
+and monomial in q and z_1..z_n (z_i = q^{a_i}) times a ratio of atom
+multisets with the numerator left unexpanded.  ``normalize_to_rational``
+reads a ``QExpr`` into the same accumulators and calls it.
 """
 
 from __future__ import annotations
@@ -21,15 +26,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Sequence
+from operator import add, neg, sub
+from typing import Mapping, Optional, Sequence
 
 from .errors import InternalInconsistency, MixedSign
 from .exactalg import Atom, QPoly, Summand, ZqMonomial
-from .exactalg import _atom_tuple, _divide_one_minus, _times_one_minus
+from .exactalg import _divide_one_minus, _times_one_minus
 from .symforms import (
     AffineForm,
     QuadForm,
     SignClass,
+    _pairs,
     parity_reduce,
     quad_finalize,
 )
@@ -206,19 +213,27 @@ class GridSpec:
 
 @cache
 def _pair_terms(n: int) -> tuple:
-    """What ``evaluate_product_at_point`` needs at n that no point changes:
-    each pair's (i, j, a_j, a_i + a_j), the sign exponent sum_{i<j} a_j,
-    the q-power sum_{i<j} binom(a_j + 1, 2), and per j the factor
+    """What a point's cleared product needs at n that no point changes, as
+    flat forms (see ``flat``): each pair's (i, j, a_j, a_i + a_j,
+    a_i - 1), the sign exponent sum_{i<j} a_j, the doubled q-power
+    sum_{i<j} binom(a_j + 1, 2), and per j the factor
     g_j = sum_{i<j} (a_i + a_j) of alpha_j in the linear q-power."""
-    a = [AffineForm.param(n, i) for i in range(n)]
-    pairs = tuple((i, j, a[j], a[i] + a[j]) for i in range(n) for j in range(i + 1, n))
-    qexp = sum((QuadForm.choose2(aj + 1) for _, _, aj, _ in pairs), QuadForm.zero(n))
-    g = [AffineForm(0, (1,) * j + (j,) + (0,) * (n - j - 1)) for j in range(n)]
-    return pairs, AffineForm(0, tuple(range(n))), qexp, g
+    a = [flat(AffineForm.param(n, i)) for i in range(n)]
+    pairs = tuple(
+        (i, j, a[j], tuple(map(add, a[i], a[j])), (-1, *a[i][1:]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    qexp = sum(
+        (QuadForm.choose2(_form(aj) + 1) for _, _, aj, _, _ in pairs),
+        QuadForm.zero(n),
+    )
+    g = [(0,) + (1,) * j + (j,) + (0,) * (n - j - 1) for j in range(n)]
+    return pairs, (0, *range(n)), qexp.twice, g
 
 
 def evaluate_product_at_point(alpha: Sequence[AffineForm]) -> QExpr:
-    """The cleared q-Dyson product F at x_i = q^{alpha_i}.
+    """The cleared q-Dyson product F at x_i = q^{alpha_i}, as a ``QExpr``.
 
     F multiplies each pair factor (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j} by the
     monomial x_j^{a_i} x_i^{a_j}.  With e = alpha_i - alpha_j, reflecting
@@ -230,18 +245,21 @@ def evaluate_product_at_point(alpha: Sequence[AffineForm]) -> QExpr:
     So each pair i < j costs one Pochhammer rewrite.  The signs and the
     binomial q-powers do not depend on the point, and the linear q-powers
     sum to sum_j alpha_j g_j; they make one more factor of the point's
-    single product.
+    single product.  This is the symbolic reference of ``point_summand``.
     """
     n = len(alpha)
-    pairs, parity, qexp, g = _pair_terms(n)
+    pairs, parity, twice, g = _pair_terms(n)
     windows = []
-    for i, j, aj, f in pairs:
-        window = rewrite_pochhammer(alpha[i] - alpha[j] - aj, f)
+    for i, j, aj, f, _ in pairs:
+        window = rewrite_pochhammer(alpha[i] - alpha[j] - _form(aj), _form(f))
         if window.is_zero():
             return window
         windows.append(window)
-    qexp = sum((QuadForm.from_product(alpha[j], g[j]) for j in range(1, n)), qexp)
-    return QExpr.product(n, [QExpr(n, parity, qexp, ()), *windows])
+    qexp = sum(
+        (QuadForm.from_product(alpha[j], _form(g[j])) for j in range(1, n)),
+        QuadForm(n, twice),
+    )
+    return QExpr.product(n, [QExpr(n, _form(parity), qexp, ()), *windows])
 
 
 def phi_prime_at_point(i: int, alpha_i: AffineForm, grid: GridSpec) -> QExpr:
@@ -279,6 +297,145 @@ def q_multinomial_symbols(n: int) -> Counter:
     return Counter({k: v for k, v in c.items() if v})
 
 
+# -- The engine's pass, on flat int vectors ----------------------------------
+#
+# An affine form c + v_1 a_1 + .. + v_n a_n is the tuple (c, v_1, .., v_n).
+# A point's value is summed into three accumulators: the parity vector, the
+# list of doubled q-exponent coefficients on ``symforms._pairs(n)``, and a
+# dict of (q)_L exponents keyed by flat L.  ``_normalize`` reads them.  No
+# ``QExpr``, ``AffineForm`` or ``QuadForm`` is built per pair.
+
+
+def flat(form: AffineForm) -> tuple[int, ...]:
+    """The affine form as the flat int tuple (constant, coeffs...)."""
+    return (form.constant, *form.coeffs)
+
+
+def _form(v: Sequence[int]) -> AffineForm:
+    return AffineForm(v[0], tuple(v[1:]))
+
+
+def _sign(v: tuple[int, ...]) -> Optional[int]:
+    """``AffineForm.generic_sign`` of a flat form: 1, -1, 0, or None if mixed."""
+    coeffs = v[1:]
+    lo, hi = min(coeffs), max(coeffs)
+    if lo < 0 < hi:
+        return None
+    if hi > 0:
+        return 1
+    if lo < 0:
+        return -1
+    return (v[0] > 0) - (v[0] < 0)
+
+
+@cache
+def _pair_index(n: int) -> tuple[tuple[int, ...], ...]:
+    """index[a][b]: the position of the monomial x_a x_b in ``_pairs(n)``."""
+    pos = {p: k for k, p in enumerate(_pairs(n))}
+    return tuple(
+        tuple(pos[min(a, b), max(a, b)] for b in range(n + 1)) for a in range(n + 1)
+    )
+
+
+def _add_product(twice: list, index, f: tuple, g: tuple, k: int = 1) -> None:
+    """Add k times the coefficients of the quadratic form f * g to twice."""
+    for a, fa in enumerate(f):
+        if fa:
+            row = index[a]
+            for b, gb in enumerate(g):
+                if gb:
+                    twice[row[b]] += k * fa * gb
+
+
+def _new_index(poch: dict, v: tuple[int, ...], exp: int) -> None:
+    """Count a (q)_L factor as it is created, with ``QExpr.build``'s check
+    that L is generically >= 0; (q)_0 = 1 is dropped."""
+    if any(v):
+        if _sign(v) != 1:
+            raise InternalInconsistency(
+                f"(q)_L with generically non-positive index L = {_form(v)}"
+            )
+        poch[v] = poch.get(v, 0) + exp
+
+
+def _window_into(e, f, top, parity: list, twice: list, poch: dict, index) -> bool:
+    """Add (q^e)_f, f generically positive and top = e + f - 1, to the
+    accumulators as ``rewrite_pochhammer`` rewrites it; False when the
+    window generically holds 1 - q^0, so the value is zero."""
+    se = _sign(e)
+    if se == 1:
+        _new_index(poch, top, 1)
+        _new_index(poch, (e[0] - 1, *e[1:]), -1)
+        return True
+    st = _sign(top)
+    if st == -1:
+        # every t in [e, top] is < 0: the sign (-1)^f, the q-power
+        # f*e + binom(f, 2) = f*(2e + f - 1)/2 and (q)_{-e} / (q)_{-e-f}
+        parity[:] = map(add, parity, f)
+        _add_product(twice, index, f, tuple(map(add, e, top)))
+        _new_index(poch, tuple(map(neg, e)), 1)
+        _new_index(poch, (-1 - top[0], *map(neg, top[1:])), -1)
+        return True
+    if se is None or st is None:
+        raise MixedSign(
+            f"cannot classify the window of (q^e)_f with e = {_form(e)}, f = {_form(f)}"
+        )
+    return False
+
+
+def phi_prime_flat(i: int, alpha_i: tuple[int, ...], grid: GridSpec) -> tuple:
+    """``phi_prime_at_point`` at the flat alpha_i, as the (parity, doubled
+    q-exponent, (q)_L exponents) that ``point_summand`` divides by."""
+    c = grid.lower[i]
+    d = flat(grid.degree[i])
+    j = (alpha_i[0] - c, *alpha_i[1:])
+    dj = tuple(map(sub, d, j))
+    for v in (j, dj):
+        if _sign(v) not in (1, 0):
+            raise MixedSign(
+                f"grid offset {_form(v)} is not generically in [0, d] at coordinate {i}"
+            )
+    n = grid.n
+    twice = [2 * c * x for x in d] + [0] * (len(_pairs(n)) - n - 1)
+    # binom(j, 2) + j(d - j) = j(2d - j - 1)/2
+    h = tuple(map(add, d, dj))
+    _add_product(twice, _pair_index(n), j, (h[0] - 1, *h[1:]))
+    # j and d-j may coincide; that index then gets exponent 2
+    poch: Counter = Counter(v for v in (j, dj) if any(v))
+    return j, tuple(twice), tuple(poch.items())
+
+
+def point_summand(alpha: Sequence[tuple[int, ...]], phis: Sequence[tuple]) -> Summand:
+    """The grid-sum term at the flat point alpha over the q-multinomial:
+    the cleared product there (as ``evaluate_product_at_point``) divided by
+    the phi' of each coordinate (``phi_prime_flat``), normalized."""
+    n = len(alpha)
+    pairs, parity, twice, g = _pair_terms(n)
+    index = _pair_index(n)
+    parity, twice, poch = list(parity), list(twice), {}
+    for i, j, aj, f, ai1 in pairs:
+        diff = tuple(map(sub, alpha[i], alpha[j]))
+        e = tuple(map(sub, diff, aj))
+        top = tuple(map(add, diff, ai1))
+        if not _window_into(e, f, top, parity, twice, poch, index):
+            forms = ", ".join(str(_form(v)) for v in alpha)
+            raise InternalInconsistency(f"point alpha = ({forms}) evaluates to zero")
+    for j in range(1, n):
+        _add_product(twice, index, alpha[j], g[j], 2)
+    for p_parity, p_twice, p_poch in phis:
+        parity[:] = map(add, parity, p_parity)
+        twice[:] = map(sub, twice, p_twice)
+        for v, exp in p_poch:
+            poch[v] = poch.get(v, 0) - exp
+    return _normalize(n, parity, twice, poch)
+
+
+@cache
+def _multinomial_flat(n: int) -> tuple:
+    """``q_multinomial_symbols(n)`` as (flat L, exponent) pairs."""
+    return tuple((flat(index), exp) for index, exp in q_multinomial_symbols(n).items())
+
+
 def _pair_group(
     vec: tuple[int, ...],
     numers: list[int],
@@ -288,7 +445,7 @@ def _pair_group(
 ) -> None:
     """Pair numerator/denominator (q)_L factors sharing the a-coefficient
     vector ``vec`` (sorted by constant offset) and expand each pair into
-    atoms 1 - q^t z^vec."""
+    atoms 1 - q^t z^vec, counted by (t, vec)."""
     if len(numers) != len(denoms):
         raise InternalInconsistency(
             f"unmatched (q)_L factors with coefficient vector {vec}: "
@@ -300,15 +457,23 @@ def _pair_group(
         if cn >= cd:
             # (q)_{L+cn-cd}/(q)_L = prod_{t=cd+1}^{cn} (1 - q^t z^vec)
             for t in range(cd + 1, cn + 1):
-                num_atoms[Atom(t, vec)] += 1
+                num_atoms[t, vec] += 1
         else:
             for t in range(cn + 1, cd + 1):
-                den_atoms[Atom(t, vec)] += 1
+                den_atoms[t, vec] += 1
 
 
-def normalize_to_rational(expr: QExpr, n: int) -> Summand:
-    """Divide a q-expression by the q-multinomial coefficient and collapse
-    the survivors into a factored rational function of q and z_1..z_n.
+def _atoms(counts: Counter) -> tuple[tuple[Atom, int], ...]:
+    """(t, vec) counts as sorted (atom, multiplicity) pairs."""
+    return tuple((Atom(t, vec), m) for (t, vec), m in sorted(counts.items()))
+
+
+def _normalize(
+    n: int, parity: Sequence[int], twice: Sequence[int], poch: dict
+) -> Summand:
+    """Divide a value, given by its accumulators, by the q-multinomial
+    coefficient and collapse the survivors into a factored rational
+    function of q and z_1..z_n.
 
     The a-dependent signs and quadratic q-exponents must cancel and every
     surviving (q)_L group must pair up; any leftover contradicts the
@@ -321,51 +486,59 @@ def normalize_to_rational(expr: QExpr, n: int) -> Summand:
     its atoms, so no trial division can win: the numerator stays a product
     of atoms, and ``Summand.rational`` expands it only for output.
     """
-    if expr.is_zero():
-        raise InternalInconsistency("cannot normalize the zero q-expression")
-    net = Counter(dict(expr.poch))
-    net.subtract(q_multinomial_symbols(n))
-
+    for index, exp in _multinomial_flat(n):
+        poch[index] = poch.get(index, 0) - exp
     groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     num_atoms: Counter = Counter()
     den_atoms: Counter = Counter()
-    for index, exp in net.items():
+    for index, exp in poch.items():
         if exp == 0:
             continue
-        if not any(index.coeffs):
-            m = index.constant
+        vec = index[1:]
+        if not any(vec):
+            m = index[0]
             if m < 0 or exp > 0:
                 raise InternalInconsistency(
                     f"numeric factor (q)_{m} with exponent {exp} survives"
                 )
             for s in range(1, m + 1):
-                den_atoms[Atom(s, (0,) * n)] -= exp
+                den_atoms[s, vec] -= exp
             continue
-        sides = groups.setdefault(index.coeffs, ([], []))
-        sides[exp < 0].extend([index.constant] * abs(exp))
+        sides = groups.setdefault(vec, ([], []))
+        sides[exp < 0].extend([index[0]] * abs(exp))
 
     for vec in sorted(groups):
         numers, denoms = groups[vec]
         _pair_group(vec, numers, denoms, num_atoms, den_atoms)
-    for atom in num_atoms:
-        if max(atom.zexp) > 1 or atom in den_atoms:
+    for key in num_atoms:
+        if max(key[1]) > 1 or key in den_atoms:
             raise InternalInconsistency(
-                f"numerator atom {atom} has a z-exponent above 1 or is also "
-                "a denominator atom"
+                f"numerator atom {Atom(*key)} has a z-exponent above 1 or is "
+                "also a denominator atom"
             )
 
-    bit = parity_reduce(expr.parity)
+    bit = parity_reduce(_form(parity))
     if bit is None:
         raise InternalInconsistency(
-            f"a-dependent sign survives normalization: {expr.parity}"
+            f"a-dependent sign survives normalization: {_form(parity)}"
         )
-    exponent = quad_finalize(expr.qexp)
+    exponent = quad_finalize(QuadForm(n, tuple(twice)))
     return Summand(
         -1 if bit else 1,
         ZqMonomial(exponent.constant, exponent.coeffs),
-        _atom_tuple(num_atoms),
-        _atom_tuple(den_atoms),
+        _atoms(num_atoms),
+        _atoms(den_atoms),
     )
+
+
+def normalize_to_rational(expr: QExpr, n: int) -> Summand:
+    """A nonzero ``QExpr`` over the q-multinomial coefficient, as a
+    ``Summand``: its parts are read into the accumulators of the engine's
+    pass and go through the same ``_normalize``."""
+    if expr.is_zero():
+        raise InternalInconsistency("cannot normalize the zero q-expression")
+    poch = {flat(index): exp for index, exp in expr.poch}
+    return _normalize(n, flat(expr.parity), expr.qexp.twice, poch)
 
 
 def q_pochhammer_numeric(e: int, f: int) -> QPoly:

@@ -332,16 +332,18 @@ class TestSweepCommand:
 
 class TestArticle:
     def test_contains_all_sections(self, capsys):
-        code, out, _ = run(capsys, "article", "--delta", "1,-1")
-        assert code == EXIT_OK
-        for heading in (
-            "Theorem.",
-            "Evaluation set",
-            "Per-point rational summands:",
-            "Verification appendix:",
-        ):
-            assert heading in out
-        assert "MISMATCH" not in out
+        for delta, variables in (("1,-1", "in 2 variables"), ("0", "in 1 variable equals")):
+            code, out, _ = run(capsys, "article", "--delta", delta)
+            assert code == EXIT_OK
+            assert variables in out
+            for heading in (
+                "Theorem.",
+                "Evaluation set",
+                "Per-point rational summands:",
+                "Verification appendix:",
+            ):
+                assert heading in out
+            assert "MISMATCH" not in out
 
     def test_unbalanced_rejected(self, capsys):
         code, _, _ = run(capsys, "article", "--delta", "1,1")

@@ -18,6 +18,7 @@ from qdyson.engine import (
 from qdyson.errors import UsageError
 from qdyson.exactalg import Atom, RationalQZ, Summand, ZqMonomial, ZqPoly
 from qdyson.latticepoints import evaluation_set_size
+from qdyson.qpochhammer import flat
 
 
 def rq(n, sign, numer_terms, denom):
@@ -91,15 +92,15 @@ class TestSplit:
 class TestSplitWork:
     def test_phi_prime_once_per_grid_value(self, monkeypatch):
         calls = []
-        real = engine.phi_prime_at_point
+        real = engine.phi_prime_flat
 
         def counted(i, x, grid):
             calls.append((i, x))
             return real(i, x, grid)
 
-        monkeypatch.setattr(engine, "phi_prime_at_point", counted)
+        monkeypatch.setattr(engine, "phi_prime_flat", counted)
         split = coefficient_split(CoefficientQuery(delta=(-2, 0, 0, 2), shift="zero"))
-        values = {(i, x) for pt, _ in split.terms for i, x in enumerate(pt.alpha)}
+        values = {(i, flat(x)) for pt, _ in split.terms for i, x in enumerate(pt.alpha)}
         assert len(split.terms) == 36
         assert len(calls) == len(set(calls)) == len(values) < 4 * 36
         assert set(calls) == values

@@ -1,5 +1,6 @@
 """Symbolic q-Pochhammer rewriting, grid derivatives, and normalization."""
 
+import random
 from collections import Counter
 from itertools import product
 
@@ -12,16 +13,19 @@ from qdyson.qpochhammer import (
     GridSpec,
     QExpr,
     evaluate_product_at_point,
+    flat,
     normalize_to_rational,
     phi_prime_at_point,
+    phi_prime_flat,
+    point_summand,
     q_multinomial_numeric,
     q_multinomial_symbols,
     q_pochhammer_numeric,
     rewrite_pochhammer,
 )
-from qdyson.latticepoints import enumerate_evaluation_set
+from qdyson.latticepoints import enumerate_evaluation_set, evaluation_set_size, make_grid
 from qdyson.oracle import zero_sum_deltas
-from qdyson.symforms import AffineForm
+from qdyson.symforms import AffineForm, QuadForm
 
 
 def a1(n=1):
@@ -343,12 +347,20 @@ class TestNormalize:
         with pytest.raises(InternalInconsistency):
             normalize_to_rational(expr, 2)
 
+    def test_a_dependent_sign_aborts(self):
+        expr = QExpr.build(2, a1(2), QExpr.identity(2).qexp, q_multinomial_symbols(2))
+        with pytest.raises(InternalInconsistency, match="sign survives"):
+            normalize_to_rational(expr, 2)
+
+    def test_quadratic_exponent_aborts(self):
+        qexp = QuadForm.from_product(a1(2), a2())
+        expr = QExpr.build(2, QExpr.identity(2).parity, qexp, q_multinomial_symbols(2))
+        with pytest.raises(InternalInconsistency, match="quadratic term"):
+            normalize_to_rational(expr, 2)
+
     def test_round_trip_at_numeric_a(self):
         # every normalized point value times the multinomial must equal the
         # original q-expression, numerically
-        from qdyson.engine import point_rational
-        from qdyson.latticepoints import enumerate_evaluation_set
-
         for delta in ((1, -1), (1, -1, 0), (2, -2)):
             n = len(delta)
             evalset = enumerate_evaluation_set(delta, (0,) * n)
@@ -395,3 +407,107 @@ class TestSummand:
                 assert summand.rational() == reference, delta
                 extra = prev.denom_counter()
                 assert summand.cleared_numer(extra) == reference.cleared_numer(extra), delta
+
+
+def reference_summand(alpha, grid):
+    """A point's summand through ``QExpr``: the cleared product over the
+    product of the phi', normalized."""
+    n = len(alpha)
+    value = evaluate_product_at_point(alpha)
+    phi = QExpr.product(n, [phi_prime_at_point(i, x, grid) for i, x in enumerate(alpha)])
+    return normalize_to_rational(value / phi, n)
+
+
+def engine_summand(alpha, grid):
+    """The same summand by the engine's integer pass."""
+    alpha = tuple(map(flat, alpha))
+    return point_summand(alpha, [phi_prime_flat(i, x, grid) for i, x in enumerate(alpha)])
+
+
+def outcome(fn, *args):
+    """fn's summand, or the type of the abort it raised."""
+    try:
+        return fn(*args)
+    except InternalInconsistency as exc:
+        return type(exc)
+
+
+def random_delta(rng, n):
+    """A zero-sum delta with sum |delta_i| <= 4."""
+    delta = [0] * n
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.sample(range(n), 2)
+        delta[i] += 1
+        delta[j] -= 1
+    return tuple(delta)
+
+
+def random_pairs(rng, count, max_points=12):
+    """(delta, explicit shift) pairs, n = 2..6 in turn, with small nonempty sets."""
+    pairs = []
+    while len(pairs) < count:
+        n = 2 + len(pairs) % 5
+        delta = random_delta(rng, n)
+        shift = tuple(rng.randint(-2, 2) for _ in range(n))
+        if 0 < evaluation_set_size(delta, shift) <= max_points:
+            pairs.append((delta, shift))
+    return pairs
+
+
+class TestEnginePass:
+    """``point_summand`` against the ``QExpr`` reference, summand for summand."""
+
+    def assert_split_matches_reference(self, delta, shift):
+        evalset = enumerate_evaluation_set(delta, CoefficientQuery(delta, shift).resolve_shift())
+        split = coefficient_split(CoefficientQuery(delta, shift))
+        assert [pt for pt, _ in split.terms] == list(evalset.points)
+        for pt, summand in split.terms:
+            assert summand == reference_summand(pt.alpha, evalset.grid), (delta, shift, pt)
+        return split
+
+    @pytest.mark.parametrize("n,shift", [(4, "zero"), (5, "best")])
+    def test_pool(self, n, shift):
+        for delta in zero_sum_deltas(n, 4):
+            self.assert_split_matches_reference(delta, shift)
+
+    def test_random_explicit_shifts(self):
+        slack = 0
+        for delta, shift in random_pairs(random.Random(19), 300):
+            split = self.assert_split_matches_reference(delta, shift)
+            slack += sum(1 for pt, _ in split.terms if any(pt.m))
+        # shifts with positive slack budgets: points with m != 0
+        assert slack > 100
+
+    def test_perturbed_points_abort_alike(self):
+        # a point or a grid degree moved by a small affine step: the
+        # reference aborts in several ways, and the engine must raise the
+        # same type where it does and give the same summand where it does not
+        rng = random.Random(23)
+        seen = Counter()
+        for delta, shift in random_pairs(rng, 200, max_points=8):
+            n = len(delta)
+            evalset = enumerate_evaluation_set(delta, shift)
+            for pt in evalset.points:
+                alpha, degree = list(pt.alpha), list(evalset.grid.degree)
+                k = rng.randrange(n)
+                step = AffineForm(
+                    rng.randint(-1, 1), tuple(rng.choice((-1, 0, 0, 0, 1)) for _ in range(n))
+                )
+                if rng.random() < 0.5:
+                    alpha[k] += step
+                else:
+                    degree[k] += step
+                grid = GridSpec(evalset.grid.lower, tuple(degree))
+                expected = outcome(reference_summand, alpha, grid)
+                assert outcome(engine_summand, alpha, grid) == expected, (delta, shift, alpha, grid)
+                seen[expected if isinstance(expected, type) else "summand"] += 1
+        assert seen[MixedSign] and seen[InternalInconsistency] and seen["summand"], seen
+
+    def test_zero_point_aborts(self):
+        # alpha = (a2, a1): the one window holds 1 - q^0
+        grid = GridSpec(lower=(0, 0), degree=(a2(), a1(2)))
+        alpha = (a2(), a1(2))
+        with pytest.raises(InternalInconsistency, match="evaluates to zero"):
+            engine_summand(alpha, grid)
+        with pytest.raises(InternalInconsistency):
+            reference_summand(alpha, grid)
