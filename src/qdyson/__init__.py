@@ -70,7 +70,6 @@ from .qpochhammer import (
 from .symforms import (
     AffineForm,
     QuadForm,
-    SignClass,
     parity_reduce,
     quad_finalize,
 )

@@ -211,11 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(body: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(body)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(body)
-    else:
-        sys.stdout.write(body)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
 
 
 def _combined_body(result: CombinedResult, fmt: str) -> str:

@@ -23,7 +23,7 @@ from .latticepoints import (
     enumerate_evaluation_set,
     evaluation_set_size,
 )
-from .qpochhammer import flat, phi_prime_flat, point_summand
+from .qpochhammer import phi_prime_flat, point_summand
 
 ShiftPolicy = Union[str, tuple[int, ...]]
 
@@ -92,12 +92,12 @@ def coefficient_split(query: CoefficientQuery) -> SplitResult:
             f"more than the {MAX_POINTS:,} this library enumerates"
         )
     evalset = enumerate_evaluation_set(query.delta, shift)
-    alphas = [tuple(map(flat, pt.alpha)) for pt in evalset.points]
-    values = dict.fromkeys((i, x) for alpha in alphas for i, x in enumerate(alpha))
+    points = evalset.points
+    values = dict.fromkeys((i, x) for pt in points for i, x in enumerate(pt.alpha))
     phis = {(i, x): phi_prime_flat(i, x, evalset.grid) for i, x in values}
     terms = tuple(
-        (pt, point_summand(alpha, [phis[i, x] for i, x in enumerate(alpha)]))
-        for pt, alpha in zip(evalset.points, alphas)
+        (pt, point_summand(pt.alpha, [phis[i, x] for i, x in enumerate(pt.alpha)]))
+        for pt in points
     )
     return SplitResult(terms=terms, shift_used=shift, delta=query.delta)
 

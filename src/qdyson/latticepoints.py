@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import DuplicatePoint
 from .qpochhammer import GridSpec
-from .symforms import AffineForm
+from .symforms import AffineForm, _of
 
 
 def descent_count(pi: Sequence[int]) -> int:
@@ -70,15 +70,17 @@ def _slack_vectors(n: int, total: int) -> Iterator[tuple[int, ...]]:
 def _alpha_vector(
     pi: Sequence[int], m: Sequence[int], shift: Sequence[int], n: int
 ) -> tuple[AffineForm, ...]:
+    """alpha_{pi(1)} = c_{pi(1)} + m_1, and alpha_{pi(r)} adds
+    a_{pi(r-1)} + [pi(r-1) > pi(r)] + m_r to alpha_{pi(r-1)}: int
+    additions on one list (constant, coeffs...), one form per point entry."""
     alpha: list[Optional[AffineForm]] = [None] * n
-    acc = AffineForm.const(n, shift[pi[0] - 1] + m[0])
-    alpha[pi[0] - 1] = acc
+    acc = [shift[pi[0] - 1] + m[0]] + [0] * n
+    alpha[pi[0] - 1] = _of(acc)
     for i in range(1, n):
-        step = AffineForm.param(n, pi[i - 1] - 1) + (
-            (1 if pi[i - 1] > pi[i] else 0) + m[i]
-        )
-        acc = acc + step
-        alpha[pi[i] - 1] = acc
+        prev = pi[i - 1]
+        acc[0] += (prev > pi[i]) + m[i]
+        acc[prev] += 1
+        alpha[pi[i] - 1] = _of(acc)
     return tuple(alpha)  # type: ignore[arg-type]
 
 

@@ -10,15 +10,16 @@ nonnegative generic sign.  ``evaluate_product_at_point`` (one Pochhammer
 window per pair, one ``QExpr.product`` per point) and
 ``phi_prime_at_point`` build such values; they are the symbolic reference.
 
-The engine takes a faster route to the same values.  Each affine form is a
-flat int tuple (constant, coefficients), and ``point_summand`` adds every
-pair window, the phi' of each coordinate (``phi_prime_flat``, built once per
-grid value) and the q-multinomial into three integer accumulators, with no
-``QExpr`` per point.  ``_normalize`` is the one normalizer: it pairs the
-(q)_L factors, runs every exactness abort and returns a ``Summand``, a sign
-and monomial in q and z_1..z_n (z_i = q^{a_i}) times a ratio of atom
-multisets with the numerator left unexpanded.  ``normalize_to_rational``
-reads a ``QExpr`` into the same accumulators and calls it.
+The engine takes a faster route to the same values, on the same
+``AffineForm`` values, each the int tuple (constant, coefficients):
+``point_summand`` adds every pair window, the phi' of each coordinate
+(``phi_prime_flat``, built once per grid value) and the q-multinomial into
+three integer accumulators, with no ``QExpr`` per point.  ``_normalize`` is
+the one normalizer: it pairs the (q)_L factors, runs every exactness abort
+and returns a ``Summand``, a sign and monomial in q and z_1..z_n
+(z_i = q^{a_i}) times a ratio of atom multisets with the numerator left
+unexpanded.  ``normalize_to_rational`` hands the parts of a ``QExpr`` to
+the same normalizer.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from operator import add, neg, sub
-from typing import Mapping, Optional, Sequence
+from operator import add, sub
+from typing import Mapping, Sequence
 
 from .errors import InternalInconsistency, MixedSign
 from .exactalg import Atom, QPoly, Summand, ZqMonomial
@@ -35,7 +36,8 @@ from .exactalg import _divide_one_minus, _times_one_minus
 from .symforms import (
     AffineForm,
     QuadForm,
-    SignClass,
+    _add_product,
+    _of,
     _pairs,
     parity_reduce,
     quad_finalize,
@@ -81,7 +83,7 @@ class QExpr:
         """The canonical value; every (q)_L index must be generically >= 0."""
         poch = _canon_poch(poch)
         for index, _ in poch:
-            if index.generic_sign() not in (SignClass.POSITIVE, SignClass.ZERO):
+            if index.generic_sign() not in (1, 0):
                 raise InternalInconsistency(
                     f"(q)_L with generically non-positive index L = {index}"
                 )
@@ -164,21 +166,21 @@ def rewrite_pochhammer(e: AffineForm, f: AffineForm) -> QExpr:
     """
     n = f.n
     fs = f.generic_sign()
-    if fs == SignClass.ZERO:
+    if fs == 0:
         return QExpr.identity(n)
-    if fs != SignClass.POSITIVE:
+    if fs != 1:
         raise MixedSign(f"Pochhammer length f = {f} is not generically >= 0")
     se = e.generic_sign()
     top = e + f - 1
     st = top.generic_sign()
-    if se == SignClass.POSITIVE:
+    if se == 1:
         return QExpr.build(
             n,
             AffineForm.const(n, 0),
             QuadForm.zero(n),
             Counter({top: 1, e - 1: -1}),
         )
-    if st == SignClass.NEGATIVE:
+    if st == -1:
         # prod over t in [e, e+f-1], all t < 0:
         # 1 - q^t = -q^t (1 - q^{-t}), hence the sign (-1)^f, the q-power
         # f*e + f(f-1)/2, and the factors (q)_{-e} / (q)_{-e-f}.
@@ -189,10 +191,7 @@ def rewrite_pochhammer(e: AffineForm, f: AffineForm) -> QExpr:
             qexp,
             Counter({-e: 1, (-e) - f: -1}),
         )
-    if se in (SignClass.ZERO, SignClass.NEGATIVE) and st in (
-        SignClass.ZERO,
-        SignClass.POSITIVE,
-    ):
+    if se in (0, -1) and st in (0, 1):
         return QExpr.make_zero(n)
     raise MixedSign(
         f"cannot classify the window of (q^e)_f with e = {e}, f = {f}"
@@ -213,23 +212,25 @@ class GridSpec:
 
 @cache
 def _pair_terms(n: int) -> tuple:
-    """What a point's cleared product needs at n that no point changes, as
-    flat forms (see ``flat``): each pair's (i, j, a_j, a_i + a_j,
-    a_i - 1), the sign exponent sum_{i<j} a_j, the doubled q-power
-    sum_{i<j} binom(a_j + 1, 2), and per j the factor
-    g_j = sum_{i<j} (a_i + a_j) of alpha_j in the linear q-power."""
-    a = [flat(AffineForm.param(n, i)) for i in range(n)]
+    """What a point's cleared product needs at n that no point changes:
+    each pair's (i, j, a_j, a_i + a_j, a_i - 1), the sign exponent
+    sum_{i<j} a_j, the doubled q-power sum_{i<j} binom(a_j + 1, 2), per j
+    the factor g_j = sum_{i<j} (a_i + a_j) of alpha_j in the linear q-power,
+    and the (q)_L exponents of the q-multinomial that each summand is
+    divided by."""
+    a = [AffineForm.param(n, i) for i in range(n)]
     pairs = tuple(
-        (i, j, a[j], tuple(map(add, a[i], a[j])), (-1, *a[i][1:]))
+        (i, j, a[j], a[i] + a[j], a[i] - 1)
         for i in range(n)
         for j in range(i + 1, n)
     )
     qexp = sum(
-        (QuadForm.choose2(_form(aj) + 1) for _, _, aj, _, _ in pairs),
+        (QuadForm.choose2(aj + 1) for _, _, aj, _, _ in pairs),
         QuadForm.zero(n),
     )
-    g = [(0,) + (1,) * j + (j,) + (0,) * (n - j - 1) for j in range(n)]
-    return pairs, (0, *range(n)), qexp.twice, g
+    g = [AffineForm(0, (1,) * j + (j,) + (0,) * (n - j - 1)) for j in range(n)]
+    multinomial = tuple(q_multinomial_symbols(n).items())
+    return pairs, AffineForm(0, range(n)), qexp.twice, g, multinomial
 
 
 def evaluate_product_at_point(alpha: Sequence[AffineForm]) -> QExpr:
@@ -248,18 +249,18 @@ def evaluate_product_at_point(alpha: Sequence[AffineForm]) -> QExpr:
     single product.  This is the symbolic reference of ``point_summand``.
     """
     n = len(alpha)
-    pairs, parity, twice, g = _pair_terms(n)
+    pairs, parity, twice, g, _ = _pair_terms(n)
     windows = []
     for i, j, aj, f, _ in pairs:
-        window = rewrite_pochhammer(alpha[i] - alpha[j] - _form(aj), _form(f))
+        window = rewrite_pochhammer(alpha[i] - alpha[j] - aj, f)
         if window.is_zero():
             return window
         windows.append(window)
     qexp = sum(
-        (QuadForm.from_product(alpha[j], _form(g[j])) for j in range(1, n)),
+        (QuadForm.from_product(alpha[j], g[j]) for j in range(1, n)),
         QuadForm(n, twice),
     )
-    return QExpr.product(n, [QExpr(n, _form(parity), qexp, ()), *windows])
+    return QExpr.product(n, [QExpr(n, parity, qexp, ()), *windows])
 
 
 def phi_prime_at_point(i: int, alpha_i: AffineForm, grid: GridSpec) -> QExpr:
@@ -274,7 +275,7 @@ def phi_prime_at_point(i: int, alpha_i: AffineForm, grid: GridSpec) -> QExpr:
     d = grid.degree[i]
     j = alpha_i - c
     for form in (j, d - j):
-        if form.generic_sign() not in (SignClass.POSITIVE, SignClass.ZERO):
+        if form.generic_sign() not in (1, 0):
             raise MixedSign(
                 f"grid offset {form} is not generically in [0, d] at coordinate {i}"
             )
@@ -297,143 +298,93 @@ def q_multinomial_symbols(n: int) -> Counter:
     return Counter({k: v for k, v in c.items() if v})
 
 
-# -- The engine's pass, on flat int vectors ----------------------------------
+# -- The engine's pass ---------------------------------------------------------
 #
-# An affine form c + v_1 a_1 + .. + v_n a_n is the tuple (c, v_1, .., v_n).
-# A point's value is summed into three accumulators: the parity vector, the
+# A point's value is summed into three accumulators: the parity list, the
 # list of doubled q-exponent coefficients on ``symforms._pairs(n)``, and a
-# dict of (q)_L exponents keyed by flat L.  ``_normalize`` reads them.  No
-# ``QExpr``, ``AffineForm`` or ``QuadForm`` is built per pair.
+# dict of (q)_L exponents keyed by L.  ``_normalize`` reads them.  No
+# ``QExpr`` or ``QuadForm`` is built per pair.
 
 
-def flat(form: AffineForm) -> tuple[int, ...]:
-    """The affine form as the flat int tuple (constant, coeffs...)."""
-    return (form.constant, *form.coeffs)
-
-
-def _form(v: Sequence[int]) -> AffineForm:
-    return AffineForm(v[0], tuple(v[1:]))
-
-
-def _sign(v: tuple[int, ...]) -> Optional[int]:
-    """``AffineForm.generic_sign`` of a flat form: 1, -1, 0, or None if mixed."""
-    coeffs = v[1:]
-    lo, hi = min(coeffs), max(coeffs)
-    if lo < 0 < hi:
-        return None
-    if hi > 0:
-        return 1
-    if lo < 0:
-        return -1
-    return (v[0] > 0) - (v[0] < 0)
-
-
-@cache
-def _pair_index(n: int) -> tuple[tuple[int, ...], ...]:
-    """index[a][b]: the position of the monomial x_a x_b in ``_pairs(n)``."""
-    pos = {p: k for k, p in enumerate(_pairs(n))}
-    return tuple(
-        tuple(pos[min(a, b), max(a, b)] for b in range(n + 1)) for a in range(n + 1)
-    )
-
-
-def _add_product(twice: list, index, f: tuple, g: tuple, k: int = 1) -> None:
-    """Add k times the coefficients of the quadratic form f * g to twice."""
-    for a, fa in enumerate(f):
-        if fa:
-            row = index[a]
-            for b, gb in enumerate(g):
-                if gb:
-                    twice[row[b]] += k * fa * gb
-
-
-def _new_index(poch: dict, v: tuple[int, ...], exp: int) -> None:
+def _new_index(poch: dict, v: AffineForm, exp: int) -> None:
     """Count a (q)_L factor as it is created, with ``QExpr.build``'s check
     that L is generically >= 0; (q)_0 = 1 is dropped."""
     if any(v):
-        if _sign(v) != 1:
+        if v.generic_sign() != 1:
             raise InternalInconsistency(
-                f"(q)_L with generically non-positive index L = {_form(v)}"
+                f"(q)_L with generically non-positive index L = {v}"
             )
         poch[v] = poch.get(v, 0) + exp
 
 
-def _window_into(e, f, top, parity: list, twice: list, poch: dict, index) -> bool:
+def _window_into(e, f, top, parity: list, twice: list, poch: dict) -> bool:
     """Add (q^e)_f, f generically positive and top = e + f - 1, to the
     accumulators as ``rewrite_pochhammer`` rewrites it; False when the
     window generically holds 1 - q^0, so the value is zero."""
-    se = _sign(e)
+    se = e.generic_sign()
     if se == 1:
         _new_index(poch, top, 1)
-        _new_index(poch, (e[0] - 1, *e[1:]), -1)
+        _new_index(poch, e - 1, -1)
         return True
-    st = _sign(top)
+    st = top.generic_sign()
     if st == -1:
         # every t in [e, top] is < 0: the sign (-1)^f, the q-power
         # f*e + binom(f, 2) = f*(2e + f - 1)/2 and (q)_{-e} / (q)_{-e-f}
         parity[:] = map(add, parity, f)
-        _add_product(twice, index, f, tuple(map(add, e, top)))
-        _new_index(poch, tuple(map(neg, e)), 1)
-        _new_index(poch, (-1 - top[0], *map(neg, top[1:])), -1)
+        _add_product(twice, f, e + top)
+        _new_index(poch, -e, 1)
+        _new_index(poch, -top - 1, -1)
         return True
     if se is None or st is None:
         raise MixedSign(
-            f"cannot classify the window of (q^e)_f with e = {_form(e)}, f = {_form(f)}"
+            f"cannot classify the window of (q^e)_f with e = {e}, f = {f}"
         )
     return False
 
 
-def phi_prime_flat(i: int, alpha_i: tuple[int, ...], grid: GridSpec) -> tuple:
-    """``phi_prime_at_point`` at the flat alpha_i, as the (parity, doubled
-    q-exponent, (q)_L exponents) that ``point_summand`` divides by."""
+def phi_prime_flat(i: int, alpha_i: AffineForm, grid: GridSpec) -> tuple:
+    """``phi_prime_at_point`` as the (parity, doubled q-exponent, (q)_L
+    exponents) that ``point_summand`` divides by."""
     c = grid.lower[i]
-    d = flat(grid.degree[i])
-    j = (alpha_i[0] - c, *alpha_i[1:])
-    dj = tuple(map(sub, d, j))
+    d = grid.degree[i]
+    j = alpha_i - c
+    dj = d - j
     for v in (j, dj):
-        if _sign(v) not in (1, 0):
+        if v.generic_sign() not in (1, 0):
             raise MixedSign(
-                f"grid offset {_form(v)} is not generically in [0, d] at coordinate {i}"
+                f"grid offset {v} is not generically in [0, d] at coordinate {i}"
             )
     n = grid.n
     twice = [2 * c * x for x in d] + [0] * (len(_pairs(n)) - n - 1)
     # binom(j, 2) + j(d - j) = j(2d - j - 1)/2
-    h = tuple(map(add, d, dj))
-    _add_product(twice, _pair_index(n), j, (h[0] - 1, *h[1:]))
+    _add_product(twice, j, d + dj - 1)
     # j and d-j may coincide; that index then gets exponent 2
     poch: Counter = Counter(v for v in (j, dj) if any(v))
     return j, tuple(twice), tuple(poch.items())
 
 
-def point_summand(alpha: Sequence[tuple[int, ...]], phis: Sequence[tuple]) -> Summand:
-    """The grid-sum term at the flat point alpha over the q-multinomial:
-    the cleared product there (as ``evaluate_product_at_point``) divided by
-    the phi' of each coordinate (``phi_prime_flat``), normalized."""
+def point_summand(alpha: Sequence[AffineForm], phis: Sequence[tuple]) -> Summand:
+    """The grid-sum term at the point alpha over the q-multinomial: the
+    cleared product there (as ``evaluate_product_at_point``) divided by the
+    phi' of each coordinate (``phi_prime_flat``), normalized."""
     n = len(alpha)
-    pairs, parity, twice, g = _pair_terms(n)
-    index = _pair_index(n)
+    pairs, parity, twice, g, _ = _pair_terms(n)
     parity, twice, poch = list(parity), list(twice), {}
     for i, j, aj, f, ai1 in pairs:
+        # e and top by map, skipping the operators' checks in the hottest loop
         diff = tuple(map(sub, alpha[i], alpha[j]))
-        e = tuple(map(sub, diff, aj))
-        top = tuple(map(add, diff, ai1))
-        if not _window_into(e, f, top, parity, twice, poch, index):
-            forms = ", ".join(str(_form(v)) for v in alpha)
+        e, top = _of(map(sub, diff, aj)), _of(map(add, diff, ai1))
+        if not _window_into(e, f, top, parity, twice, poch):
+            forms = ", ".join(map(str, alpha))
             raise InternalInconsistency(f"point alpha = ({forms}) evaluates to zero")
     for j in range(1, n):
-        _add_product(twice, index, alpha[j], g[j], 2)
+        _add_product(twice, alpha[j], g[j], 2)
     for p_parity, p_twice, p_poch in phis:
         parity[:] = map(add, parity, p_parity)
         twice[:] = map(sub, twice, p_twice)
         for v, exp in p_poch:
             poch[v] = poch.get(v, 0) - exp
     return _normalize(n, parity, twice, poch)
-
-
-@cache
-def _multinomial_flat(n: int) -> tuple:
-    """``q_multinomial_symbols(n)`` as (flat L, exponent) pairs."""
-    return tuple((flat(index), exp) for index, exp in q_multinomial_symbols(n).items())
 
 
 def _pair_group(
@@ -486,7 +437,8 @@ def _normalize(
     its atoms, so no trial division can win: the numerator stays a product
     of atoms, and ``Summand.rational`` expands it only for output.
     """
-    for index, exp in _multinomial_flat(n):
+    *_, multinomial = _pair_terms(n)
+    for index, exp in multinomial:
         poch[index] = poch.get(index, 0) - exp
     groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     num_atoms: Counter = Counter()
@@ -517,10 +469,10 @@ def _normalize(
                 "also a denominator atom"
             )
 
-    bit = parity_reduce(_form(parity))
+    bit = parity_reduce(parity)
     if bit is None:
         raise InternalInconsistency(
-            f"a-dependent sign survives normalization: {_form(parity)}"
+            f"a-dependent sign survives normalization: {_of(parity)}"
         )
     exponent = quad_finalize(QuadForm(n, tuple(twice)))
     return Summand(
@@ -533,12 +485,11 @@ def _normalize(
 
 def normalize_to_rational(expr: QExpr, n: int) -> Summand:
     """A nonzero ``QExpr`` over the q-multinomial coefficient, as a
-    ``Summand``: its parts are read into the accumulators of the engine's
-    pass and go through the same ``_normalize``."""
+    ``Summand``: its parity, doubled q-exponent and (q)_L exponents go
+    through the engine's ``_normalize`` as they are."""
     if expr.is_zero():
         raise InternalInconsistency("cannot normalize the zero q-expression")
-    poch = {flat(index): exp for index, exp in expr.poch}
-    return _normalize(n, flat(expr.parity), expr.qexp.twice, poch)
+    return _normalize(n, expr.parity, expr.qexp.twice, dict(expr.poch))
 
 
 def q_pochhammer_numeric(e: int, f: int) -> QPoly:

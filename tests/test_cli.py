@@ -367,6 +367,20 @@ class TestOutFile:
         obj = json.loads(target.read_text())
         assert obj["denom"] and obj["numer"]
 
+    @pytest.mark.parametrize("command", [
+        ("coeff", "--delta", "1,-1"),
+        ("article", "--delta", "1,-1"),
+        ("verify", "--delta", "1,-1", "--a", "1,1"),
+    ])
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, command):
+        for target, reason in (
+            (tmp_path / "missing" / "r.txt", "No such file or directory"),
+            (tmp_path, "Is a directory"),
+        ):
+            code, out, err = run(capsys, *command, "--out", str(target))
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == f"usage error: cannot write --out {target}: {reason}\n"
+
 
 # Output bytes of the renderers, pinned on a numerator with many terms, a
 # non-trivial unit monomial, negative exponents and a repeated atom.
@@ -489,6 +503,11 @@ PINNED_VERIFY_JSON = (
     '[18,7],[19,3],[20,1]],"error":""}\n'
 )
 
+# article and coeff --split --format json for delta (1, 0, -1) under the shift
+# (0, -2, 1): 15 points whose alpha_i have negative constants and slack up to 2
+DATA = Path(__file__).resolve().parent / "data"
+PINNED_SHIFTED = ("--delta=1,0,-1", "--shift", "0,-2,1")
+
 # sweep --n 2,3 --a-max 2 --delta-budget 2 prints 136 "ok" lines and a total
 PINNED_SWEEP_SHA256 = "53b223b3bde5586a275b1b50b751e83ae8af553608987e2b4f046867b3e4bcbe"
 
@@ -502,6 +521,16 @@ class TestPinnedBytes:
     def test_article(self, capsys):
         assert run(capsys, "article", "--delta", "1,-1,0") == (
             EXIT_OK, PINNED_ARTICLE, ""
+        )
+
+    def test_article_shifted(self, capsys):
+        expected = (DATA / "article_delta_1_0_-1_shift_0_-2_1.txt").read_text()
+        assert run(capsys, "article", *PINNED_SHIFTED) == (EXIT_OK, expected, "")
+
+    def test_split_json_shifted(self, capsys):
+        expected = (DATA / "split_delta_1_0_-1_shift_0_-2_1.json").read_text()
+        assert run(capsys, "coeff", *PINNED_SHIFTED, "--split", "--format", "json") == (
+            EXIT_OK, expected, ""
         )
 
     def test_verify_text(self, capsys):

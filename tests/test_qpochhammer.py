@@ -13,7 +13,6 @@ from qdyson.qpochhammer import (
     GridSpec,
     QExpr,
     evaluate_product_at_point,
-    flat,
     normalize_to_rational,
     phi_prime_at_point,
     phi_prime_flat,
@@ -420,7 +419,6 @@ def reference_summand(alpha, grid):
 
 def engine_summand(alpha, grid):
     """The same summand by the engine's integer pass."""
-    alpha = tuple(map(flat, alpha))
     return point_summand(alpha, [phi_prime_flat(i, x, grid) for i, x in enumerate(alpha)])
 
 

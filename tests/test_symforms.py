@@ -1,5 +1,7 @@
 """Affine/quadratic/parity forms and generic-sign analysis."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -11,7 +13,6 @@ from qdyson.errors import InternalInconsistency
 from qdyson.symforms import (
     AffineForm,
     QuadForm,
-    SignClass,
     parity_reduce,
     quad_finalize,
 )
@@ -19,18 +20,18 @@ from qdyson.symforms import (
 
 class TestGenericSign:
     def test_positive(self):
-        assert AffineForm(1, (1, 0)).generic_sign() == SignClass.POSITIVE
+        assert AffineForm(1, (1, 0)).generic_sign() == 1
 
     def test_negative(self):
-        assert AffineForm(0, (0, -1)).generic_sign() == SignClass.NEGATIVE
+        assert AffineForm(0, (0, -1)).generic_sign() == -1
 
     def test_mixed(self):
-        assert AffineForm(0, (1, -1)).generic_sign() == SignClass.MIXED
+        assert AffineForm(0, (1, -1)).generic_sign() is None
 
     def test_constant_only(self):
-        assert AffineForm(5, (0, 0)).generic_sign() == SignClass.POSITIVE
-        assert AffineForm(-5, (0, 0)).generic_sign() == SignClass.NEGATIVE
-        assert AffineForm(0, (0, 0)).generic_sign() == SignClass.ZERO
+        assert AffineForm(5, (0, 0)).generic_sign() == 1
+        assert AffineForm(-5, (0, 0)).generic_sign() == -1
+        assert AffineForm(0, (0, 0)).generic_sign() == 0
 
     def test_sign_matches_large_substitution(self):
         random.seed(7)
@@ -40,14 +41,14 @@ class TestGenericSign:
                 tuple(random.randint(-2, 2) for _ in range(3)),
             )
             cls = form.generic_sign()
-            if cls == SignClass.MIXED:
+            if cls is None:
                 continue
             m = 1 + sum(abs(c) for c in form.coeffs) + abs(form.constant)
             value = form.evaluate((m, m, m))
             expected = {
-                SignClass.POSITIVE: value > 0,
-                SignClass.NEGATIVE: value < 0,
-                SignClass.ZERO: value == 0,
+                1: value > 0,
+                -1: value < 0,
+                0: value == 0,
             }[cls]
             assert expected, (form, cls, value)
 
@@ -61,6 +62,79 @@ class TestSubstituteAffine:
     def test_length_check(self):
         with pytest.raises(ValueError):
             AffineForm(0, (1,)).evaluate((1, 2))
+
+
+class TestTupleContract:
+    """An affine form is its int tuple (constant, coeffs...)."""
+
+    def test_elementwise_from_either_side(self):
+        f, g = AffineForm(1, (2, -3)), AffineForm(-4, (0, 5))
+        assert f + g == (-3, 2, 2)
+        assert (1, 1, 1) + f == f + (1, 1, 1) == (2, 3, -2)
+        assert type((1, 1, 1) + f) is type(f + g) is AffineForm
+        assert f - g == (5, 2, -8)
+        assert f - (1, 2, -3) == (0, 0, 0)
+        assert -f == (-1, -2, 3)
+
+    def test_int_shifts_the_constant(self):
+        f = AffineForm(1, (2, -3))
+        assert f + 3 == 3 + f == AffineForm(4, (2, -3))
+        assert f - 3 == AffineForm(-2, (2, -3))
+
+    def test_sum(self):
+        forms = [AffineForm.param(3, i) for i in range(3)]
+        assert sum(forms, AffineForm.const(3, 2)) == AffineForm(2, (1, 1, 1))
+        assert sum(forms) == AffineForm.total(3)
+
+    def test_equal_and_hash_as_plain_tuple(self):
+        f = AffineForm(-1, (0, 2))
+        assert f == (-1, 0, 2) and hash(f) == hash((-1, 0, 2))
+        poch = {f: 1}
+        poch[(-1, 0, 2)] = poch.get((-1, 0, 2), 0) + 1
+        assert poch == {(-1, 0, 2): 2}
+        assert (f.constant, f.coeffs, f.n) == (-1, (0, 2), 2)
+
+    def test_length_mismatch_raises(self):
+        f = AffineForm(0, (1, 1))
+        for other in (AffineForm(0, (1,)), (0, 1), (0, 1, 1, 1)):
+            with pytest.raises(ValueError):
+                f + other
+            with pytest.raises(ValueError):
+                other + f
+            with pytest.raises(ValueError):
+                f - other
+
+    def test_copy_and_pickle(self):
+        f = AffineForm(3, (-1, 0, 2))
+        for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and type(g) is AffineForm
+
+
+# str(AffineForm(c, v)), as outputs and error messages print it
+PINNED_STR = [
+    ((0, ()), "0"),
+    ((0, (0, 0)), "0"),
+    ((3, (0, 0)), "3"),
+    ((-3, (0, 0)), "-3"),
+    ((0, (1, 0)), "a1"),
+    ((0, (-1, 0)), "- a1"),
+    ((0, (2, 0)), "2*a1"),
+    ((0, (-2, 0)), "- 2*a1"),
+    ((0, (0, 1)), "a2"),
+    ((-1, (0, -1)), "-1 - a2"),
+    ((1, (1, -1)), "1 + a1 - a2"),
+    ((-2, (-1, 1)), "-2 - a1 + a2"),
+    ((5, (-3, 0, 7)), "5 - 3*a1 + 7*a3"),
+    ((-1, (1, 1, 0)), "-1 + a1 + a2"),
+    ((0, (1, 1, 1)), "a1 + a2 + a3"),
+    ((7, (0, 0, -12)), "7 - 12*a3"),
+    ((-4, (-1, -1, -1)), "-4 - a1 - a2 - a3"),
+]
+
+
+@pytest.mark.parametrize("form,text", PINNED_STR, ids=[t for _, t in PINNED_STR])
+def test_str(form, text):
+    assert str(AffineForm(*form)) == text
 
 
 class TestParity:
