@@ -34,7 +34,6 @@ from .exactalg import (
     QPoly,
     RationalQZ,
     Summand,
-    ZqMonomial,
     ZqPoly,
     equal_as_rational,
     substitute_z,

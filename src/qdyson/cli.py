@@ -24,7 +24,7 @@ from .engine import (
     equivalent,
 )
 from .errors import InternalInconsistency, UsageError
-from .exactalg import Atom, QPoly, RationalQZ, ZqMonomial, ZqPoly
+from .exactalg import Atom, QPoly, RationalQZ, ZqPoly
 from .latticepoints import best_shift
 from .oracle import SweepConfig, VerificationReport, sweep, verify_query
 from .symforms import AffineForm
@@ -54,12 +54,12 @@ def _affine_json(form: AffineForm) -> dict:
 def formula_json(r: RationalQZ, meta: dict | None = None) -> dict:
     out = {
         "sign": r.sign,
-        "unit": {"q": r.unit.qexp, "z": list(r.unit.zexp)},
+        "unit": {"q": r.unit.constant, "z": list(r.unit.coeffs)},
         "numer": [
             {"q": qe, "z": list(ze), "c": c} for (qe, ze), c in r.numer.items()
         ],
         "denom": [
-            {"q": atom.qexp, "z": list(atom.zexp), "mult": mult}
+            {"q": atom.constant, "z": list(atom.coeffs), "mult": mult}
             for atom, mult in r.denom
         ],
     }
@@ -74,12 +74,10 @@ def formula_from_json(obj: dict) -> RationalQZ:
         n,
         [((t["q"], tuple(t["z"])), t["c"]) for t in obj["numer"]],
     )
-    denom = tuple(
-        (Atom(t["q"], tuple(t["z"])), t["mult"]) for t in obj["denom"]
-    )
+    denom = tuple((Atom(t["q"], t["z"]), t["mult"]) for t in obj["denom"])
     return RationalQZ(
         sign=obj["sign"],
-        unit=ZqMonomial(obj["unit"]["q"], tuple(obj["unit"]["z"])),
+        unit=AffineForm(obj["unit"]["q"], obj["unit"]["z"]),
         numer=numer,
         denom=denom,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import InternalInconsistency, UsageError
-from .exactalg import RationalQZ, Summand, ZqMonomial, ZqPoly
+from .exactalg import RationalQZ, Summand, ZqPoly
 from .latticepoints import (
     EvaluationPoint,
     best_shift,
@@ -24,6 +24,7 @@ from .latticepoints import (
     evaluation_set_size,
 )
 from .qpochhammer import phi_prime_flat, point_summand
+from .symforms import AffineForm
 
 ShiftPolicy = Union[str, tuple[int, ...]]
 
@@ -105,7 +106,7 @@ def coefficient_split(query: CoefficientQuery) -> SplitResult:
 def combine_sum(terms: Sequence[Summand], n: int) -> RationalQZ:
     """Exact sum over the least common multiple of the atom denominators.
 
-    Each summand enters ``ZqPoly.sum_of`` as its sign and unit monomial with
+    Each summand enters ``ZqPoly.sum_of`` as its sign and unit with
     its numerator atoms and the LCM atoms it lacks, so atoms that several
     summands share, numerator atoms included, are multiplied in once.
     """
@@ -114,7 +115,7 @@ def combine_sum(terms: Sequence[Summand], n: int) -> RationalQZ:
         for atom, mult in t.denom:
             lcm[atom] = max(lcm[atom], mult)
     total = ZqPoly.sum_of(n, [t.cleared(lcm - t.denom_counter()) for t in terms])
-    return RationalQZ.make(1, ZqMonomial.identity(n), total, lcm)
+    return RationalQZ.make(1, AffineForm.const(n, 0), total, lcm)
 
 
 def combine(split: SplitResult) -> CombinedResult:

@@ -15,12 +15,19 @@ Four sparse representations, all immutable in practice:
   The packing is private: the constructor and ``items()`` take and give
   ((qexp, zexp), coeff) pairs.  ``ZqPoly.sum_of``, the one summation kernel,
   factors out the atom most terms share and multiplies by it once, in place;
-* ``RationalQZ`` -- sign * monomial * polynomial over a multiset of
-  denominator atoms 1 - q^c * z^v, never expanded;
-* ``Summand`` -- sign * monomial * a multiset of numerator atoms over a
+* ``RationalQZ`` -- sign * unit * polynomial over a multiset of
+  denominator atoms, never expanded;
+* ``Summand`` -- sign * unit * a multiset of numerator atoms over a
   multiset of denominator atoms: one evaluation point's term, kept factored
   until it is summed (``cleared`` gives its ``sum_of`` pair, which shares
   numerator atoms across summands too) or rendered (``rational``).
+
+With z_i = q^{a_i}, a monomial q^c * prod z_i^{v_i} is q^L for the
+``AffineForm`` L = c + v.a, the int tuple (c, v_1..v_n), and every exponent
+outside a ZqPoly's terms is such a form: the unit of ``RationalQZ`` and
+``Summand``, the argument of ``ZqPoly.mul_monomial``, and each ``Atom``
+1 - q^L, which is its nonzero form L itself.  So specializing any of them
+at concrete a is ``form.evaluate(a)``.
 
 Each of ``ZqPoly`` and ``RationalQZ`` renders itself as text (``str``) or
 LaTeX (``render(latex=True)``); ``QPoly``'s text uses ZqPoly's term renderer.
@@ -30,13 +37,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import compress, repeat
 from operator import add, lshift, mul, or_
 from struct import Struct, unpack
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DenominatorVanishes, DimensionMismatch
+from .symforms import AffineForm, _of
 
 
 def _trimmed(d: Mapping) -> dict:
@@ -207,32 +215,19 @@ def equal_as_rational(
     return fn * gd == gn * fd
 
 
-def _mono_str(qexp: int, zexp: Sequence[int], latex: bool) -> str:
-    factors = []
-    if qexp:
-        if latex:
-            factors.append("q" if qexp == 1 else f"q^{{{qexp}}}")
-        else:
-            factors.append("q" if qexp == 1 else f"q^{qexp}")
-    for i, e in enumerate(zexp):
-        if not e:
-            continue
-        if latex:
-            base = f"z_{{{i + 1}}}"
-            factors.append(base if e == 1 else f"{base}^{{{e}}}")
-        else:
-            base = f"z{i + 1}"
-            factors.append(base if e == 1 else f"{base}^{e}")
-    if not factors:
-        return "1"
-    return (" " if latex else "*").join(factors)
+def _mono_str(exps: Sequence[int], latex: bool) -> str:
+    """The monomial q^{exps[0]} * prod z_i^{exps[i]}."""
+    names = ["q"] + [f"z_{{{i}}}" if latex else f"z{i}" for i in range(1, len(exps))]
+    power = "{}^{{{}}}" if latex else "{}^{}"
+    factors = [name if e == 1 else power.format(name, e) for name, e in zip(names, exps) if e]
+    return (" " if latex else "*").join(factors) or "1"
 
 
 def _render_terms(items: Iterable, latex: bool) -> str:
     """Signed sum of ((qexp, zexp), coeff) terms in the given order."""
     parts = []
     for (qe, ze), c in items:
-        mono = _mono_str(qe, ze, latex)
+        mono = _mono_str((qe, *ze), latex)
         if mono == "1":
             body = str(abs(c))
         elif abs(c) == 1:
@@ -246,50 +241,38 @@ def _render_terms(items: Iterable, latex: bool) -> str:
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
-@dataclass(frozen=True)
-class ZqMonomial:
-    """The unit q^{qexp} * prod z_i^{zexp_i}."""
-
-    qexp: int
-    zexp: tuple[int, ...]
-
-    @staticmethod
-    def identity(n: int) -> "ZqMonomial":
-        return ZqMonomial(0, (0,) * n)
-
-    def __mul__(self, other: "ZqMonomial") -> "ZqMonomial":
-        return ZqMonomial(
-            self.qexp + other.qexp,
-            tuple(x + y for x, y in zip(self.zexp, other.zexp)),
-        )
-
-
-@dataclass(frozen=True)
-class Atom:
-    """A denominator factor 1 - q^{qexp} * prod z_i^{zexp_i}.
+class Atom(AffineForm):
+    """The factor 1 - q^L of a nonzero exponent form L = c + v.a, where
+    q^L = q^c * prod z_i^{v_i}: the int tuple (c, v_1..v_n) itself, so atoms
+    sort in (q-exponent, z-exponents) order.
 
     It is irreducible only when the exponents are coprime:
     1 - q^2 z^2 = (1 - q z)(1 + q z).
     """
 
-    qexp: int
-    zexp: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.qexp == 0 and not any(self.zexp):
+    def __new__(cls, constant: int, coeffs: Sequence[int]) -> "Atom":
+        atom = tuple.__new__(cls, (constant, *coeffs))
+        if not any(atom):
             raise ValueError("atom 1 - q^0 is identically zero")
+        return atom
 
-    def sort_key(self):
-        return (self.qexp, self.zexp)
+    def __str__(self) -> str:
+        return _atom_str(self, 1, False)
+
+
+# The atom whose tuple is the given ints, for forms known to be nonzero.
+_atom_of = partial(tuple.__new__, Atom)
 
 
 def _atom_tuple(atoms: Mapping[Atom, int]) -> tuple[tuple[Atom, int], ...]:
-    """A multiset of atoms as (atom, multiplicity) pairs in sort_key order."""
-    return tuple(sorted(atoms.items(), key=lambda kv: kv[0].sort_key()))
+    """A multiset of atoms as (atom, multiplicity) pairs in atom order."""
+    return tuple(sorted(atoms.items()))
 
 
 def _atom_str(atom: Atom, mult: int, latex: bool) -> str:
-    body = f"1 - {_mono_str(atom.qexp, atom.zexp, latex)}"
+    body = f"1 - {_mono_str(atom, latex)}"
     if latex:
         return f"\\left({body}\\right)" + (f"^{{{mult}}}" if mult > 1 else "")
     return f"({body})" + (f"^{mult}" if mult > 1 else "")
@@ -346,16 +329,17 @@ def _check_range(keys: Iterable[int], n: int) -> None:
         raise OverflowError(f"exponent outside [{-_BIAS}, {_BIAS})")
 
 
-def _exps_offset(n: int, qexp: int, zexp: Sequence[int]) -> int:
-    if len(zexp) != n:
+def _exps_offset(n: int, exps: Sequence[int]) -> int:
+    """``_offset`` of the flat exponent vector (qexp, zexp_1..zexp_n)."""
+    if len(exps) != n + 1:
         raise DimensionMismatch("z-exponent vector has wrong length")
-    return _offset((qexp, *zexp))
+    return _offset(exps)
 
 
 def _times_atom(terms: dict[int, int], n: int, atom: Atom) -> None:
     """Multiply terms by 1 - m in place.  Keys are visited away from the
     direction of m, so each is read before anything is written to it."""
-    off = _exps_offset(n, atom.qexp, atom.zexp)
+    off = _exps_offset(n, atom)
     _check_range(map(off.__add__, terms), n)
     get = terms.get
     for k in sorted(terms, reverse=off > 0):
@@ -384,7 +368,7 @@ def _sum_into(acc: dict[int, int], n: int, pending: list) -> None:
         ((terms, atoms),) = pending
         inner, factors, rest = [(terms, Counter())], atoms.elements(), []
     else:
-        atom = max(need, key=lambda a: (need[a], a.sort_key()))
+        atom = max(need, key=lambda a: (need[a], a))
         one = Counter({atom: 1})
         inner = [(t, atoms - one) for t, atoms in pending if atom in atoms]
         factors, rest = (atom,), [p for p in pending if atom not in p[1]]
@@ -419,7 +403,7 @@ class ZqPoly:
         d: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (qe, ze), c in items:
-            k = bias + _exps_offset(n, qe, ze)
+            k = bias + _exps_offset(n, (qe, *ze))
             d[k] = d.get(k, 0) + c
         self._terms = _trimmed(d)
 
@@ -437,10 +421,6 @@ class ZqPoly:
     @staticmethod
     def one(n: int) -> "ZqPoly":
         return ZqPoly(n, {(0, (0,) * n): 1})
-
-    @staticmethod
-    def monomial(n: int, qexp: int, zexp: Sequence[int], coeff: int = 1) -> "ZqPoly":
-        return ZqPoly(n, {(qexp, tuple(zexp)): coeff})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -472,7 +452,7 @@ class ZqPoly:
         """Sum of poly * prod(atom ** mult) over (poly, {atom: mult}) pairs.
 
         Multiplies late: the atom that the most pairs still need (ties to the
-        largest ``Atom.sort_key``) is factored out of their partial sum and
+        largest atom) is factored out of their partial sum and
         multiplied in once, before the other pairs are added.
         """
         pending = []
@@ -496,11 +476,12 @@ class ZqPoly:
         _check_range(terms, self.n)
         return ZqPoly._of(self.n, terms)
 
-    def mul_monomial(self, qexp: int, zexp: Sequence[int], coeff: int = 1) -> "ZqPoly":
-        return self._shifted(_exps_offset(self.n, qexp, zexp), coeff)
+    def mul_monomial(self, exps: Sequence[int], coeff: int = 1) -> "ZqPoly":
+        """coeff * self * q^{exps[0]} * prod z_i^{exps[i]}."""
+        return self._shifted(_exps_offset(self.n, exps), coeff)
 
     def mul_atom(self, atom: Atom) -> "ZqPoly":
-        """Multiply by 1 - q^{atom.qexp} z^{atom.zexp}."""
+        """Multiply by the atom."""
         d = dict(self._terms)
         _times_atom(d, self.n, atom)
         return ZqPoly._of(self.n, d)
@@ -520,10 +501,9 @@ class ZqPoly:
         steps along m that relate their names stay below
         2**14 + (2**14 + 2**13) < 2**16, so no field can carry.
         """
-        exps = (atom.qexp, *atom.zexp)
-        off = _exps_offset(self.n, atom.qexp, atom.zexp)
-        i = max(range(len(exps)), key=lambda j: abs(exps[j]))
-        shift, step = _STRIDE * i, exps[i]
+        off = _exps_offset(self.n, atom)
+        i = max(range(len(atom)), key=lambda j: abs(atom[j]))
+        shift, step = _STRIDE * i, atom[i]
         terms = self._terms
         names = [k - ((k >> shift) & _FIELD) // step * off for k in terms]
         sums: dict[int, int] = {}
@@ -541,18 +521,18 @@ class ZqPoly:
             last[name] = (k, run + terms[k])
         return ZqPoly._of(self.n, quo)
 
-    def extract_unit(self) -> tuple["ZqPoly", ZqMonomial, int]:
+    def extract_unit(self) -> tuple["ZqPoly", AffineForm, int]:
         """Factor self = sign * monomial * reduced with the reduced polynomial
         having exponent minima 0 in every coordinate and a positive leading
         (graded-lex greatest) coefficient."""
         if self.is_zero():
-            return self, ZqMonomial.identity(self.n), 1
+            return self, AffineForm.const(self.n, 0), 1
         rows = _layout(self.n).rows(self._terms)
         lows = [min(col) for col in zip(*rows)]
         lead = max(zip(map(sum, rows), rows, self._terms.values()))[2]
         sign = 1 if lead > 0 else -1
-        qmin, *zmin = low = [v - _BIAS for v in lows]
-        return self._shifted(-_offset(low), sign), ZqMonomial(qmin, tuple(zmin)), sign
+        low = _of(v - _BIAS for v in lows)
+        return self._shifted(-_offset(low), sign), low, sign
 
     def substitute_z(self, a: Sequence[int]) -> QPoly:
         """Apply z_i -> q^{a_i}; exact Laurent polynomial in q."""
@@ -582,21 +562,21 @@ class RationalQZ:
     """
 
     sign: int
-    unit: ZqMonomial
+    unit: AffineForm
     numer: ZqPoly
     denom: tuple[tuple[Atom, int], ...]
 
     @property
     def n(self) -> int:
-        return len(self.unit.zexp)
+        return self.unit.n
 
     @staticmethod
     def zero(n: int) -> "RationalQZ":
-        return RationalQZ(1, ZqMonomial.identity(n), ZqPoly.zero(n), ())
+        return RationalQZ(1, AffineForm.const(n, 0), ZqPoly.zero(n), ())
 
     @staticmethod
     def one(n: int) -> "RationalQZ":
-        return RationalQZ(1, ZqMonomial.identity(n), ZqPoly.one(n), ())
+        return RationalQZ(1, AffineForm.const(n, 0), ZqPoly.one(n), ())
 
     def is_zero(self) -> bool:
         return self.numer.is_zero()
@@ -607,7 +587,7 @@ class RationalQZ:
     @staticmethod
     def make(
         sign: int,
-        unit: ZqMonomial,
+        unit: AffineForm,
         numer: ZqPoly,
         denom: Mapping[Atom, int] | Counter,
     ) -> "RationalQZ":
@@ -629,11 +609,11 @@ class RationalQZ:
             if mult:
                 remaining[atom] = mult
         reduced, mono, s = numer.extract_unit()
-        return RationalQZ(sign * s, unit * mono, reduced, _atom_tuple(remaining))
+        return RationalQZ(sign * s, unit + mono, reduced, _atom_tuple(remaining))
 
     def cleared_numer(self, extra_denom: Mapping[Atom, int] = ()) -> ZqPoly:
         """sign * unit * numer * prod(extra atoms) as a single ZqPoly."""
-        poly = self.numer.mul_monomial(self.unit.qexp, self.unit.zexp, self.sign)
+        poly = self.numer.mul_monomial(self.unit, self.sign)
         return ZqPoly.sum_of(self.n, [(poly, dict(extra_denom))])
 
     def render(self, latex: bool = False) -> str:
@@ -641,7 +621,7 @@ class RationalQZ:
         if self.is_zero():
             return "0"
         sign = "-" if self.sign < 0 else ""
-        unit = _mono_str(self.unit.qexp, self.unit.zexp, latex)
+        unit = _mono_str(self.unit, latex)
         numer = self.numer.render(latex)
         num_parts = []
         if unit != "1":
@@ -669,13 +649,13 @@ class Summand:
     """
 
     sign: int
-    unit: ZqMonomial
+    unit: AffineForm
     numer: tuple[tuple[Atom, int], ...]
     denom: tuple[tuple[Atom, int], ...]
 
     @property
     def n(self) -> int:
-        return len(self.unit.zexp)
+        return self.unit.n
 
     def denom_counter(self) -> Counter:
         return Counter(dict(self.denom))
@@ -684,7 +664,7 @@ class Summand:
         """(sign * unit, numerator atoms plus extra atoms): a ``sum_of`` pair."""
         atoms = Counter(dict(self.numer))
         atoms.update(extra_denom)
-        unit = ZqPoly.monomial(self.n, self.unit.qexp, self.unit.zexp, self.sign)
+        unit = ZqPoly.one(self.n).mul_monomial(self.unit, self.sign)
         return unit, atoms
 
     def cleared_numer(self, extra_denom: Mapping[Atom, int] = ()) -> ZqPoly:
@@ -704,15 +684,12 @@ def substitute_z(r: RationalQZ, a: Sequence[int]) -> tuple[QPoly, QPoly]:
         raise DimensionMismatch("substitution vector has wrong length")
     if r.is_zero():
         return QPoly(), QPoly.one()
-    num = r.numer.substitute_z(a) * r.sign
-    num = num.shift(r.unit.qexp + sum(x * y for x, y in zip(r.unit.zexp, a)))
+    num = (r.numer.substitute_z(a) * r.sign).shift(r.unit.evaluate(a))
     den = {0: 1}
     for atom, mult in r.denom:
-        e = atom.qexp + sum(x * y for x, y in zip(atom.zexp, a))
+        e = atom.evaluate(a)
         if e == 0:
-            raise DenominatorVanishes(
-                f"atom 1 - q^{atom.qexp} z^{atom.zexp} vanishes at a={tuple(a)}"
-            )
+            raise DenominatorVanishes(f"atom {atom} vanishes at a={tuple(a)}")
         for _ in range(mult):
             _times_one_minus(den, e)
     return num, QPoly._of(den)

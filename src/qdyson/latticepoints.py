@@ -7,7 +7,9 @@ by delta_{pi(n)} - des(pi) plus the shift difference.  The parametrization
 is independent of the symbolic a_i, so the whole set is enumerated once per
 delta and shift.  Sizing and the shift search (exact over the box
 |c_i| <= max(1, max|delta_i|) + 1 for every n) read a per-n count of
-permutations by first, last letter and descents.
+permutations by first, last letter and descents.  That count and the
+enumeration share one cached scan of the n! descent counts, and n above
+``MAX_SCAN_N`` is a usage error before it starts.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
-from math import comb, inf
+from math import comb, factorial, inf
 from operator import gt
 from typing import Iterator, Optional, Sequence
 
-from .errors import DuplicatePoint
+from .errors import DuplicatePoint, UsageError
 from .qpochhammer import GridSpec
 from .symforms import AffineForm, _of
 
@@ -33,8 +35,25 @@ def descent_count(pi: Sequence[int]) -> int:
 
 
 def _descents(pi: Sequence[int]) -> int:
-    """descent_count without the permutation check, for the n! scans."""
+    """descent_count without the permutation check, for the n! scan."""
     return sum(map(gt, pi, pi[1:]))
+
+
+# The largest n whose n! permutations are scanned: 10! = 3,628,800 take
+# seconds, 11! would take about a minute and 12! over ten.
+MAX_SCAN_N = 10
+
+
+@cache
+def _descent_bytes(n: int) -> bytes:
+    """The descent count of every permutation of 1..n, in ``permutations``
+    order: the one n! scan, shared by enumeration and sizing."""
+    if n > MAX_SCAN_N:
+        raise UsageError(
+            f"n = {n} needs a scan of all {factorial(n):,} permutations; "
+            f"this library scans at most {MAX_SCAN_N}! = {factorial(MAX_SCAN_N):,}"
+        )
+    return bytes(map(_descents, permutations(range(1, n + 1))))
 
 
 @dataclass(frozen=True)
@@ -106,9 +125,9 @@ def enumerate_evaluation_set(
         raise ValueError("shift vector has wrong length")
     points: list[EvaluationPoint] = []
     seen: set = set()
-    for pi in permutations(range(1, n + 1)):
+    for pi, k in zip(permutations(range(1, n + 1)), _descent_bytes(n)):
         f, l = pi[0] - 1, pi[-1] - 1
-        b = delta[l] - _descents(pi) + shift[l] - shift[f]
+        b = delta[l] - k + shift[l] - shift[f]
         if b < 0:
             continue
         for m in _slack_vectors(n, b):
@@ -130,8 +149,8 @@ def enumerate_evaluation_set(
 @cache
 def _descent_table(n: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
     """Permutations of 1..n counted by (first, last, descent count)."""
-    perms = permutations(range(1, n + 1))
-    counts = Counter((pi[0], pi[-1], _descents(pi)) for pi in perms)
+    perms = zip(permutations(range(1, n + 1)), _descent_bytes(n))
+    counts = Counter((pi[0], pi[-1], k) for pi, k in perms)
     return tuple(counts.items())
 
 

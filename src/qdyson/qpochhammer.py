@@ -31,8 +31,8 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import InternalInconsistency, MixedSign
-from .exactalg import Atom, QPoly, Summand, ZqMonomial
-from .exactalg import _divide_one_minus, _times_one_minus
+from .exactalg import QPoly, Summand
+from .exactalg import _atom_of, _atom_tuple, _divide_one_minus, _times_one_minus
 from .symforms import (
     AffineForm,
     QuadForm,
@@ -396,7 +396,7 @@ def _pair_group(
 ) -> None:
     """Pair numerator/denominator (q)_L factors sharing the a-coefficient
     vector ``vec`` (sorted by constant offset) and expand each pair into
-    atoms 1 - q^t z^vec, counted by (t, vec)."""
+    atoms 1 - q^t z^vec, counted as the atom (t, *vec)."""
     if len(numers) != len(denoms):
         raise InternalInconsistency(
             f"unmatched (q)_L factors with coefficient vector {vec}: "
@@ -408,15 +408,10 @@ def _pair_group(
         if cn >= cd:
             # (q)_{L+cn-cd}/(q)_L = prod_{t=cd+1}^{cn} (1 - q^t z^vec)
             for t in range(cd + 1, cn + 1):
-                num_atoms[t, vec] += 1
+                num_atoms[_atom_of((t, *vec))] += 1
         else:
             for t in range(cn + 1, cd + 1):
-                den_atoms[t, vec] += 1
-
-
-def _atoms(counts: Counter) -> tuple[tuple[Atom, int], ...]:
-    """(t, vec) counts as sorted (atom, multiplicity) pairs."""
-    return tuple((Atom(t, vec), m) for (t, vec), m in sorted(counts.items()))
+                den_atoms[_atom_of((t, *vec))] += 1
 
 
 def _normalize(
@@ -454,7 +449,7 @@ def _normalize(
                     f"numeric factor (q)_{m} with exponent {exp} survives"
                 )
             for s in range(1, m + 1):
-                den_atoms[s, vec] -= exp
+                den_atoms[_atom_of((s, *vec))] -= exp
             continue
         sides = groups.setdefault(vec, ([], []))
         sides[exp < 0].extend([index[0]] * abs(exp))
@@ -462,10 +457,10 @@ def _normalize(
     for vec in sorted(groups):
         numers, denoms = groups[vec]
         _pair_group(vec, numers, denoms, num_atoms, den_atoms)
-    for key in num_atoms:
-        if max(key[1]) > 1 or key in den_atoms:
+    for atom in num_atoms:
+        if max(atom[1:]) > 1 or atom in den_atoms:
             raise InternalInconsistency(
-                f"numerator atom {Atom(*key)} has a z-exponent above 1 or is "
+                f"numerator atom {atom} has a z-exponent above 1 or is "
                 "also a denominator atom"
             )
 
@@ -474,12 +469,11 @@ def _normalize(
         raise InternalInconsistency(
             f"a-dependent sign survives normalization: {_of(parity)}"
         )
-    exponent = quad_finalize(QuadForm(n, tuple(twice)))
     return Summand(
         -1 if bit else 1,
-        ZqMonomial(exponent.constant, exponent.coeffs),
-        _atoms(num_atoms),
-        _atoms(den_atoms),
+        quad_finalize(QuadForm(n, tuple(twice))),
+        _atom_tuple(num_atoms),
+        _atom_tuple(den_atoms),
     )
 
 

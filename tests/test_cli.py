@@ -88,6 +88,24 @@ class TestExitCodes:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("usage error: ") and f" {size} evaluation points" in err
 
+    @pytest.mark.parametrize(
+        "argv, n, scan",
+        [
+            (("constant-term", "--n", "11"), 11, "39,916,800"),
+            (("best-shift", "--delta", "1,-1,0,0,0,0,0,0,0,0,0,0"), 12, "479,001,600"),
+            (("coeff", "--delta", "1,-1,0,0,0,0,0,0,0,0,0", "--shift", "zero"), 11, "39,916,800"),
+        ],
+    )
+    def test_n_past_the_scan_bound_fails_fast(self, capsys, argv, n, scan):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"usage error: n = {n} needs a scan of all {scan} permutations; "
+            "this library scans at most 10! = 3,628,800\n"
+        )
+
     def test_best_shift_requires_zero_sum(self, capsys):
         code, _, _ = run(capsys, "best-shift", "--delta", "1,1")
         assert code == EXIT_USAGE

@@ -7,15 +7,19 @@ the default best shift).  This test only reads the file.
 
 ``tests/data/formulas_n2_n3.tsv``, in the same format, holds the nonzero
 deltas with n in {2, 3} and sum |d| <= 4, recomputed under both shifts.
+
+Every pinned formula must also parse with ``formula_from_json`` to a value
+equal to the computed R and re-serialize to the same bytes.
 """
 
+import json
 import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from qdyson.cli import dumps_canonical, formula_json
+from qdyson.cli import dumps_canonical, formula_from_json, formula_json
 from qdyson.engine import CoefficientQuery, coefficient_combined, coefficient_split, combine
 from qdyson.oracle import zero_sum_deltas
 
@@ -35,16 +39,19 @@ def pinned_pool(n, path=CORPUS):
 
 
 def mismatched(pinned, shift):
-    return [
-        delta
-        for delta, formula in sorted(pinned.items())
-        if dumps_canonical(
-            formula_json(
-                coefficient_combined(CoefficientQuery(delta=delta, shift=shift)).rational
-            )
-        )
-        != formula
-    ]
+    """The deltas whose R differs from the pinned bytes, or whose pinned
+    bytes do not parse to that R and back."""
+    out = []
+    for delta, formula in sorted(pinned.items()):
+        rational = coefficient_combined(CoefficientQuery(delta=delta, shift=shift)).rational
+        parsed = formula_from_json(json.loads(formula))
+        if (
+            dumps_canonical(formula_json(rational)) != formula
+            or parsed != rational
+            or dumps_canonical(formula_json(parsed)) != formula
+        ):
+            out.append(delta)
+    return out
 
 
 @pytest.mark.parametrize("shift", ["zero", "best"])

@@ -16,13 +16,14 @@ from qdyson.engine import (
     equivalent,
 )
 from qdyson.errors import UsageError
-from qdyson.exactalg import Atom, RationalQZ, Summand, ZqMonomial, ZqPoly
+from qdyson.exactalg import Atom, RationalQZ, Summand, ZqPoly
 from qdyson.latticepoints import evaluation_set_size
+from qdyson.symforms import AffineForm
 
 
 def rq(n, sign, numer_terms, denom):
     return RationalQZ.make(
-        sign, ZqMonomial.identity(n), ZqPoly(n, numer_terms), Counter(denom)
+        sign, AffineForm.const(n, 0), ZqPoly(n, numer_terms), Counter(denom)
     )
 
 
@@ -167,7 +168,7 @@ class TestConstantOffset:
 
 
 def summand(n, sign, numer, denom):
-    return Summand(sign, ZqMonomial.identity(n), tuple(numer.items()), tuple(denom.items()))
+    return Summand(sign, AffineForm.const(n, 0), tuple(numer.items()), tuple(denom.items()))
 
 
 class TestCombineSum:
@@ -200,7 +201,7 @@ class TestCombineSum:
     def test_shared_numerator_atom(self):
         # (1 - z1)/(1 - q z2) + (1 - z1) z2/(1 - q z2) = (1 - z1)(1 + z2)/(1 - q z2)
         t1 = summand(2, 1, {Atom(0, (1, 0)): 1}, {Atom(1, (0, 1)): 1})
-        t2 = Summand(1, ZqMonomial(0, (0, 1)), ((Atom(0, (1, 0)), 1),), ((Atom(1, (0, 1)), 1),))
+        t2 = Summand(1, AffineForm(0, (0, 1)), ((Atom(0, (1, 0)), 1),), ((Atom(1, (0, 1)), 1),))
         expected = rq(
             2,
             1,
@@ -224,14 +225,14 @@ class TestEquivalent:
         # (1 - q^2 z1^2)/(1 + q z1) == 1 - q z1
         lhs = RationalQZ(
             1,
-            ZqMonomial.identity(1),
+            AffineForm.const(1, 0),
             ZqPoly(1, {(0, (0,)): 1, (2, (2,)): -1}),
             (),
         )
         # fold the (1 + q z1) factor into the comparison by equivalence with
         # its product against (1 - q z1)
         one_plus = ZqPoly(1, {(0, (0,)): 1, (1, (1,)): 1})
-        prod = RationalQZ.make(1, ZqMonomial.identity(1), one_plus.mul_atom(Atom(1, (1,))), {})
+        prod = RationalQZ.make(1, AffineForm.const(1, 0), one_plus.mul_atom(Atom(1, (1,))), {})
         assert equivalent(lhs, prod)
 
     def test_dimension_check(self):

@@ -1,5 +1,7 @@
 """Exact-arithmetic core: polynomials in q, in q and z, and factored rationals."""
 
+import copy
+import pickle
 from collections import Counter
 from math import comb
 
@@ -7,19 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdyson.cli import dumps_canonical, formula_json
-from qdyson.errors import DenominatorVanishes, DimensionMismatch
+from qdyson.cli import dumps_canonical, formula_from_json, formula_json
+from qdyson.errors import DenominatorVanishes, DimensionMismatch, InternalInconsistency
 from qdyson.exactalg import (
     Atom,
     QPoly,
     RationalQZ,
-    ZqMonomial,
     ZqPoly,
     _divide_one_minus,
     _times_one_minus,
     equal_as_rational,
     substitute_z,
 )
+from qdyson.qpochhammer import _normalize
+from qdyson.symforms import AffineForm, _pairs
 
 
 def qp(**terms):
@@ -174,8 +177,12 @@ class TestZqPoly:
             assert quo == poly
 
     def test_atom_invariant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="identically zero"):
             Atom(0, (0, 0))
+        obj = formula_json(RationalQZ.one(2))
+        obj["denom"] = [{"q": 0, "z": [0, 0], "mult": 1}]
+        with pytest.raises(ValueError, match="identically zero"):
+            formula_from_json(obj)
 
 
 @st.composite
@@ -207,7 +214,7 @@ class TestPackedZqPoly:
         poly, atom = pa
         if divisible:
             # 1 - m divides 1 - m^power: the quotient fills whole line segments
-            power_atom = Atom(atom.qexp * power, tuple(v * power for v in atom.zexp))
+            power_atom = Atom(atom.constant * power, tuple(v * power for v in atom.coeffs))
             poly = poly.mul_atom(power_atom)
         quo = poly.div_atom(atom)
         assert quo is not None or not divisible
@@ -218,7 +225,7 @@ class TestPackedZqPoly:
     @given(poly_and_atom(), st.integers(-6, 6), st.lists(st.integers(-6, 6), min_size=3, max_size=3))
     def test_extra_monomial_is_not_divisible(self, pa, qexp, zexp):
         poly, atom = pa
-        spoiled = poly.mul_atom(atom) + ZqPoly.monomial(poly.n, qexp, zexp[: poly.n])
+        spoiled = poly.mul_atom(atom) + ZqPoly.one(poly.n).mul_monomial((qexp, *zexp[: poly.n]))
         assert spoiled.div_atom(atom) is None
 
     @settings(max_examples=100, deadline=None)
@@ -247,7 +254,7 @@ class TestPackedZqPoly:
     def test_formula_bytes_match_tuple_keys(self):
         r = RationalQZ.make(
             -1,
-            ZqMonomial(1, (0, -2)),
+            AffineForm(1, (0, -2)),
             ZqPoly(2, {(3, (-1, 2)): 2, (0, (0, 0)): -4, (-2, (1, 1)): 6, (1, (0, -1)): -2}),
             Counter({Atom(0, (1, -1)): 2, Atom(2, (0, 0)): 1}),
         )
@@ -274,16 +281,16 @@ class TestPackedZqPoly:
     def test_out_of_range_raises_not_wraps(self):
         top = ZqPoly(2, {(0, (8191, 0)): 1})
         with pytest.raises(OverflowError):  # z1 would carry into z2
-            top.mul_monomial(0, (1, 0))
+            top.mul_monomial((0, 1, 0))
         with pytest.raises(OverflowError):
             top.mul_atom(Atom(0, (1, 0)))
         bottom = ZqPoly(2, {(-8192, (0, 0)): 1})
         with pytest.raises(OverflowError):  # q would borrow from z1
-            bottom.mul_monomial(-1, (0, 0))
+            bottom.mul_monomial((-1, 0, 0))
         with pytest.raises(OverflowError):  # shifting the minimum to 0
             ZqPoly(1, {(-8000, (0,)): 1, (8000, (0,)): 1}).extract_unit()
         with pytest.raises(OverflowError):
-            top.mul_monomial(0, (0, 8192))
+            top.mul_monomial((0, 0, 8192))
 
 
 def atom_pool(n):
@@ -362,7 +369,7 @@ def rational_product(r1, r2):
             numer[q1 + q2, tuple(x + y for x, y in zip(z1, z2))] += c1 * c2
     return RationalQZ.make(
         r1.sign * r2.sign,
-        r1.unit * r2.unit,
+        r1.unit + r2.unit,
         ZqPoly(r1.n, numer),
         r1.denom_counter() + r2.denom_counter(),
     )
@@ -373,7 +380,7 @@ class TestSubstituteZ:
         # (1 - q z1) at a = (2) -> (1 - q^3, 1)
         r = RationalQZ.make(
             1,
-            ZqMonomial.identity(1),
+            AffineForm.const(1, 0),
             ZqPoly(1, {(0, (0,)): 1, (1, (1,)): -1}),
             Counter(),
         )
@@ -385,7 +392,7 @@ class TestSubstituteZ:
         # -(1 - z1)/(1 - q z2) at a = (1, 1) -> (-(1 - q), 1 - q^2)
         r = RationalQZ.make(
             -1,
-            ZqMonomial.identity(2),
+            AffineForm.const(2, 0),
             ZqPoly(2, {(0, (0, 0)): 1, (0, (1, 0)): -1}),
             Counter({Atom(1, (0, 1)): 1}),
         )
@@ -400,7 +407,7 @@ class TestSubstituteZ:
     def test_denominator_vanishes(self):
         r = RationalQZ(
             1,
-            ZqMonomial.identity(1),
+            AffineForm.const(1, 0),
             ZqPoly.one(1),
             ((Atom(0, (1,)), 1),),  # 1 - z1 -> 1 - q^0 at a1 = 0
         )
@@ -423,10 +430,10 @@ class TestSubstituteZ:
     )
     def test_multiplicative(self, a, t1, t2):
         r1 = RationalQZ.make(
-            1, ZqMonomial.identity(2), ZqPoly(2, t1), Counter({Atom(1, (1, 0)): 1})
+            1, AffineForm.const(2, 0), ZqPoly(2, t1), Counter({Atom(1, (1, 0)): 1})
         )
         r2 = RationalQZ.make(
-            1, ZqMonomial.identity(2), ZqPoly(2, t2), Counter({Atom(2, (0, 1)): 1})
+            1, AffineForm.const(2, 0), ZqPoly(2, t2), Counter({Atom(2, (0, 1)): 1})
         )
         lhs = substitute_z(rational_product(r1, r2), a)
         n1, d1 = substitute_z(r1, a)
@@ -463,9 +470,70 @@ class TestCanonicalization:
     def test_make_is_idempotent(self):
         r = RationalQZ.make(
             -1,
-            ZqMonomial(1, (0, 2)),
+            AffineForm(1, (0, 2)),
             ZqPoly(2, {(1, (1, 0)): 2, (0, (0, 0)): -2}),
             Counter({Atom(1, (0, 1)): 2}),
         )
         again = RationalQZ.make(r.sign, r.unit, r.numer, Counter(dict(r.denom)))
         assert again == r
+
+
+class TestAtom:
+    """An atom 1 - q^L is its nonzero exponent form L, the flat int tuple."""
+
+    def test_is_its_flat_tuple(self):
+        atom = Atom(1, (0, 1))
+        assert atom == (1, 0, 1) and hash(atom) == hash((1, 0, 1))
+        assert atom == AffineForm(1, (0, 1))
+        assert {(1, 0, 1): "x"}[atom] == "x"
+        assert (atom.constant, atom.coeffs, atom.n) == (1, (0, 1), 2)
+        assert Atom(1, [0, 1]) == atom  # any coefficient sequence
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.integers(-3, 3), st.tuples(*[st.integers(-3, 3)] * n)).filter(
+                    lambda qz: qz[0] or any(qz[1])
+                ),
+                max_size=8,
+            )
+        )
+    )
+    def test_tuple_order_is_qexp_then_zexp(self, pairs):
+        atoms = [Atom(q, z) for q, z in pairs]
+        assert sorted(atoms) == sorted(atoms, key=lambda a: (a.constant, a.coeffs))
+
+    def test_pickle_and_copy_round_trip(self):
+        atom = Atom(-2, (0, 1, -1))
+        for again in (
+            pickle.loads(pickle.dumps(atom)),
+            copy.copy(atom),
+            copy.deepcopy(atom),
+        ):
+            assert again == atom and type(again) is Atom
+        r = RationalQZ(-1, AffineForm(1, (0, 2)), ZqPoly.one(2), ((Atom(1, (1, 1)), 2),))
+        again = pickle.loads(pickle.dumps(r))
+        assert again == r and type(again.unit) is AffineForm
+        assert type(again.denom[0][0]) is Atom
+
+    def test_str_is_the_rendered_factor(self):
+        assert str(Atom(1, (0, 1))) == "(1 - q*z2)"
+        assert str(Atom(-2, (3, 0))) == "(1 - q^-2*z1^3)"
+        assert str(Atom(0, (1,))) == "(1 - z1)"
+
+    def test_vanishing_atom_message(self):
+        r = RationalQZ(1, AffineForm.const(2, 0), ZqPoly.one(2), ((Atom(-2, (1, 1)), 1),))
+        with pytest.raises(DenominatorVanishes) as info:
+            substitute_z(r, (1, 1))
+        assert str(info.value) == "atom (1 - q^-2*z1*z2) vanishes at a=(1, 1)"
+
+    def test_numerator_atom_message(self):
+        # (q)_{2 a1 + 1} / (q)_{2 a1} leaves the numerator atom 1 - q z1^2
+        poch = {AffineForm(1, (2,)): 1, AffineForm(0, (2,)): -1}
+        with pytest.raises(InternalInconsistency) as info:
+            _normalize(1, [0, 0], [0] * len(_pairs(1)), poch)
+        assert str(info.value) == (
+            "numerator atom (1 - q*z1^2) has a z-exponent above 1 or is "
+            "also a denominator atom"
+        )

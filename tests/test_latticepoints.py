@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdyson.errors import UsageError
 from qdyson.latticepoints import (
+    MAX_SCAN_N,
+    _descent_bytes,
     best_shift,
     descent_count,
     enumerate_evaluation_set,
@@ -82,6 +85,22 @@ class TestDescents:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             descent_count((1, 1, 2))
+
+
+class TestDescentScan:
+    def test_bytes_follow_permutations_order(self):
+        for n in range(1, 6):
+            perms = list(permutations(range(1, n + 1)))
+            assert list(_descent_bytes(n)) == [descent_count(pi) for pi in perms]
+
+    @pytest.mark.parametrize(
+        "call", [enumerate_evaluation_set, evaluation_set_size, best_shift]
+    )
+    def test_past_the_bound_is_a_usage_error(self, call):
+        assert MAX_SCAN_N == 10
+        delta = (1, -1) + (0,) * (MAX_SCAN_N - 1)
+        with pytest.raises(UsageError, match="39,916,800 permutations"):
+            call(delta)
 
 
 class TestEnumeration:

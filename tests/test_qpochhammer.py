@@ -8,7 +8,7 @@ import pytest
 
 from qdyson.engine import CoefficientQuery, coefficient_split
 from qdyson.errors import InternalInconsistency, MixedSign
-from qdyson.exactalg import Atom, QPoly, RationalQZ, ZqMonomial, ZqPoly, equal_as_rational, substitute_z
+from qdyson.exactalg import Atom, QPoly, RationalQZ, ZqPoly, equal_as_rational, substitute_z
 from qdyson.qpochhammer import (
     GridSpec,
     QExpr,
@@ -310,7 +310,7 @@ class TestNormalize:
         result = normalize_to_rational(expr, 2).rational()
         expected = RationalQZ.make(
             1,
-            ZqMonomial.identity(2),
+            AffineForm.const(2, 0),
             ZqPoly(2, {(0, (0, 0)): 1, (1, (1, 0)): -1}),
             {},
         )
