@@ -82,9 +82,9 @@ class CombinedResult:
 def coefficient_split(query: CoefficientQuery) -> SplitResult:
     """One rational summand per evaluation point; phi' is evaluated once per
     distinct grid value (i, alpha_i) of the set."""
-    n = query.n
-    if sum(query.delta) != 0:
-        return SplitResult(terms=(), shift_used=(0,) * n, delta=query.delta)
+    if sum(query.delta) != 0:  # no set to size; an explicit shift is still reported
+        shift = (0,) * query.n if query.shift == "best" else query.resolve_shift()
+        return SplitResult(terms=(), shift_used=shift, delta=query.delta)
     shift = query.resolve_shift()
     size = evaluation_set_size(query.delta, shift)
     if size > MAX_POINTS:

@@ -89,22 +89,43 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and f" {size} evaluation points" in err
 
     @pytest.mark.parametrize(
-        "argv, n, scan",
+        "argv, out",
         [
-            (("constant-term", "--n", "11"), 11, "39,916,800"),
-            (("best-shift", "--delta", "1,-1,0,0,0,0,0,0,0,0,0,0"), 12, "479,001,600"),
-            (("coeff", "--delta", "1,-1,0,0,0,0,0,0,0,0,0", "--shift", "zero"), 11, "39,916,800"),
+            (
+                ("constant-term", "--n", "11"),
+                "delta: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n"
+                "shift: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n"
+                "points: 1\n"
+                "R = 1\n"
+                "coefficient = R * qMultinomial(a1,a2,a3,a4,a5,a6,a7,a8,a9,a10,a11)\n",
+            ),
+            (
+                ("best-shift", "--delta", "1,-1,0,0,0,0,0,0,0,0,0,0"),
+                "delta: [1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n"
+                "shift: [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n"
+                "size: 1\n",
+            ),
+            (
+                ("coeff", "--delta", "1,-1,0,0,0,0,0,0,0,0,0", "--shift", "zero"),
+                "delta: [1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n"
+                "shift: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n"
+                "points: 2\n"
+                "R = (-1 + z1) / ((1 - q*z2*z3*z4*z5*z6*z7*z8*z9*z10*z11))\n"
+                "coefficient = R * qMultinomial(a1,a2,a3,a4,a5,a6,a7,a8,a9,a10,a11)\n",
+            ),
         ],
     )
-    def test_n_past_the_scan_bound_fails_fast(self, capsys, argv, n, scan):
+    def test_n_past_ten_runs_fast(self, capsys, argv, out):
         start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
+        assert run(capsys, *argv) == (EXIT_OK, out, "")
+        assert time.perf_counter() - start < 1.0
+
+    def test_n_past_the_ceiling_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "constant-term", "--n", "25")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == (
-            f"usage error: n = {n} needs a scan of all {scan} permutations; "
-            "this library scans at most 10! = 3,628,800\n"
-        )
+        assert err == "usage error: n = 25 is past this library's ceiling of 24\n"
 
     def test_best_shift_requires_zero_sum(self, capsys):
         code, _, _ = run(capsys, "best-shift", "--delta", "1,1")
@@ -179,6 +200,16 @@ class TestCoeffOutput:
         assert code == EXIT_OK
         assert "coefficient is 0" in out
         assert "R = 0" in out
+
+    def test_unbalanced_reports_the_explicit_shift(self, capsys):
+        code, out, _ = run(
+            capsys, "coeff", "--delta=1,0", "--shift=0,3", "--format", "json"
+        )
+        assert (code, out) == (
+            EXIT_OK,
+            '{"sign":1,"unit":{"q":0,"z":[0,0]},"numer":[],"denom":[],'
+            '"meta":{"delta":[1,0],"shift":[0,3],"points":0}}\n',
+        )
 
     def test_closed_form_text(self, capsys):
         _, out, _ = run(capsys, "coeff", "--delta", "1,-1", "--shift", "zero")

@@ -1,5 +1,6 @@
 """Evaluation-set enumeration, size formula, and shift optimization."""
 
+from collections import Counter
 from itertools import permutations, product
 from math import comb
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdyson import latticepoints
 from qdyson.errors import UsageError
 from qdyson.latticepoints import (
-    MAX_SCAN_N,
-    _descent_bytes,
+    MAX_N,
+    _descent_table,
     best_shift,
     descent_count,
     enumerate_evaluation_set,
@@ -39,16 +41,67 @@ def vanishing_condition_holds(alpha, a):
     )
 
 
+def scan_budgets(delta, shift):
+    """(pi, slack budget B(pi)) for every permutation, in permutations order."""
+    n = len(delta)
+    for pi in permutations(range(1, n + 1)):
+        f, l = pi[0] - 1, pi[-1] - 1
+        yield pi, delta[l] - descent_count(pi) + shift[l] - shift[f]
+
+
 def scan_size(delta, shift):
     """|S_delta| by a scan over all n! permutations."""
     n = len(delta)
-    total = 0
-    for pi in permutations(range(1, n + 1)):
-        f, l = pi[0] - 1, pi[-1] - 1
-        b = delta[l] - descent_count(pi) + shift[l] - shift[f]
-        if b >= 0:
-            total += comb(b + n, n)
-    return total
+    return sum(comb(b + n, n) for _, b in scan_budgets(delta, shift) if b >= 0)
+
+
+def scan_points(delta, shift):
+    """(pi, m, alpha) by a scan over all n! permutations: every m in
+    ``product`` order with sum <= B(pi), and alpha_{pi(1)} = c_{pi(1)} + m_1,
+    alpha_{pi(r)} = alpha_{pi(r-1)} + a_{pi(r-1)} + [pi(r-1) > pi(r)] + m_r."""
+    n = len(delta)
+    out = []
+    for pi, b in scan_budgets(delta, shift):
+        for m in product(range(b + 1), repeat=n):
+            if sum(m) > b:
+                continue
+            alpha = [None] * n
+            value = AffineForm.const(n, shift[pi[0] - 1] + m[0])
+            alpha[pi[0] - 1] = value
+            for r in range(1, n):
+                prev = pi[r - 1]
+                value = value + AffineForm.param(n, prev - 1) + (prev > pi[r]) + m[r]
+                alpha[pi[r] - 1] = value
+            out.append((pi, m, tuple(alpha)))
+    return out
+
+
+SHIFT_FAMILIES = {
+    "zero": lambda d: (0,) * len(d),
+    "best": lambda d: best_shift(d)[0],
+    "ones": lambda d: (0,) + (1,) * (len(d) - 1),
+    "ascending": lambda d: tuple(range(len(d))),
+    "descending": lambda d: tuple(range(len(d), 0, -1)),
+    "mixed": lambda d: ((0, 3, -2, 1) + (0,) * len(d))[: len(d)],
+}
+
+
+def assert_walk_matches_scan(delta, shift, monkeypatch):
+    """The enumerated points equal the scan's, point for point and in order,
+    and every prefix the walk extends has a feasible completion."""
+    walked = []
+    complete = latticepoints._completions
+
+    def recording(pi, *rest):
+        walked.append(pi)
+        return complete(pi, *rest)
+
+    monkeypatch.setattr(latticepoints, "_completions", recording)
+    points = enumerate_evaluation_set(delta, shift).points
+    expected = scan_points(delta, shift)
+    assert [(pt.pi, pt.m, pt.alpha) for pt in points] == expected, (delta, shift)
+    prefixes = {pi[:r] for pi, _, _ in expected for r in range(len(pi) + 1)}
+    assert set(walked[1:]) <= prefixes, (delta, shift)
 
 
 def brute_best_shift(delta, radius):
@@ -87,20 +140,59 @@ class TestDescents:
             descent_count((1, 1, 2))
 
 
-class TestDescentScan:
-    def test_bytes_follow_permutations_order(self):
-        for n in range(1, 6):
-            perms = list(permutations(range(1, n + 1)))
-            assert list(_descent_bytes(n)) == [descent_count(pi) for pi in perms]
+class TestDescentCount:
+    def test_table_matches_a_scan(self):
+        for n in range(1, 9):
+            scan = Counter(
+                (pi[0] - 1, pi[-1] - 1, descent_count(pi))
+                for pi in permutations(range(1, n + 1))
+            )
+            assert dict(_descent_table(n)) == scan, n
 
     @pytest.mark.parametrize(
         "call", [enumerate_evaluation_set, evaluation_set_size, best_shift]
     )
-    def test_past_the_bound_is_a_usage_error(self, call):
-        assert MAX_SCAN_N == 10
-        delta = (1, -1) + (0,) * (MAX_SCAN_N - 1)
-        with pytest.raises(UsageError, match="39,916,800 permutations"):
-            call(delta)
+    def test_past_the_ceiling_is_a_usage_error(self, call):
+        assert MAX_N == 24
+        with pytest.raises(UsageError, match="n = 25 is past .* ceiling of 24"):
+            call((1, -1) + (0,) * 23)
+
+    @pytest.mark.parametrize(
+        "call", [enumerate_evaluation_set, evaluation_set_size, best_shift]
+    )
+    def test_no_variables_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="need at least one variable"):
+            call(())
+
+
+class TestWalkMatchesScan:
+    @pytest.mark.parametrize("family", SHIFT_FAMILIES)
+    def test_shift_families_up_to_n6(self, family, monkeypatch):
+        # every set of at most 400 points with sum |delta_i| <= 4 (<= 2 past
+        # n = 4), and the smallest one when none is that small
+        for n in range(1, 7):
+            sized = sorted(
+                (evaluation_set_size(d, c), d, c)
+                for d in zero_sum(n, 4 if n <= 4 else 2)
+                for c in [SHIFT_FAMILIES[family](d)]
+            )
+            for size, delta, shift in sized:
+                if size <= 400 or size == sized[0][0]:
+                    assert_walk_matches_scan(delta, shift, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            (1, -1, 0, 0, 0, 0, 0),
+            (0, 0, -1, 0, 0, 0, 1),
+            (2, 0, 0, -1, 0, -1, 0),
+            (0, 1, 0, 0, -1, 0, 0, 0),
+            (-1, 0, 0, 0, 0, 0, 0, 1),
+        ],
+    )
+    def test_sample_at_n7_and_n8(self, delta, monkeypatch):
+        for shift in ((0,) * len(delta), best_shift(delta)[0]):
+            assert_walk_matches_scan(delta, shift, monkeypatch)
 
 
 class TestEnumeration:
