@@ -85,8 +85,11 @@ def coefficient_split(query: CoefficientQuery) -> SplitResult:
     if sum(query.delta) != 0:  # no set to size; an explicit shift is still reported
         shift = (0,) * query.n if query.shift == "best" else query.resolve_shift()
         return SplitResult(terms=(), shift_used=shift, delta=query.delta)
-    shift = query.resolve_shift()
-    size = evaluation_set_size(query.delta, shift)
+    if query.shift == "best":  # the search sizes the set it picks
+        shift, size = best_shift(query.delta)
+    else:
+        shift = query.resolve_shift()
+        size = evaluation_set_size(query.delta, shift)
     if size > MAX_POINTS:
         raise UsageError(
             f"shift {list(shift)} gives {size:,} evaluation points, "

@@ -177,15 +177,17 @@ def best_shift(delta: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """A shift minimizing |S_delta|, exact over |c_i| <= max(1, max|delta_i|) + 1.
 
     Only shift differences matter, so the first coordinate is pinned to 0; the
-    others range over the box.  Ties go to the lexicographically
-    smallest shift, comparing coordinates by magnitude first so that the zero
-    shift wins all-way ties.  A budget depends on the shift only through
-    c_last - c_first, so |S| is a sum of pair costs cost[i, j][c_j - c_i].  A
-    depth-first search sets c_1, c_2, ... in tie-break order and drops a branch
-    once its set pairs plus the least cost of each open pair cannot win.
+    others range over the box.  Ties go to the lexicographically smallest
+    shift, comparing coordinates by magnitude first so that the zero shift wins
+    all-way ties.  A budget depends on the shift only through c_last - c_first,
+    so |S| is a sum of pair costs cost[i, j][c_j - c_i].  A depth-first search
+    sets c_1, c_2, ... in tie-break order, dropping a branch once its set pairs
+    plus each open pair's least cost cannot win; the winner's total is |S|.
     """
     delta, _ = _checked(delta, None)
     n = len(delta)
+    if n == 1:  # one permutation, no pair to cost, one point under any shift
+        return (0,), 1
     radius = max(1, max((abs(d) for d in delta), default=0)) + 1
     span = 2 * radius
     cost = {(i, j): [0] * (2 * span + 1) for j in range(n) for i in range(j)}
@@ -214,5 +216,5 @@ def best_shift(delta: Sequence[int]) -> tuple[tuple[int, ...], int]:
                 search(k + 1, total)
 
     search(1, 0)
-    return best[0], evaluation_set_size(delta, best[0])
+    return best[0], best[1]
 

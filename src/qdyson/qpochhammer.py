@@ -15,11 +15,11 @@ The engine takes a faster route to the same values, on the same
 ``point_summand`` adds every pair window, the phi' of each coordinate
 (``phi_prime_flat``, built once per grid value) and the q-multinomial into
 three integer accumulators, with no ``QExpr`` per point.  ``_normalize`` is
-the one normalizer: it pairs the (q)_L factors, runs every exactness abort
-and returns a ``Summand``, a sign and monomial in q and z_1..z_n
-(z_i = q^{a_i}) times a ratio of atom multisets with the numerator left
-unexpanded.  ``normalize_to_rational`` hands the parts of a ``QExpr`` to
-the same normalizer.
+the one normalizer: it cancels the (q)_L factors into atoms by net counts,
+runs every exactness abort and returns a ``Summand``, a sign and monomial in
+q and z_1..z_n (z_i = q^{a_i}) times a ratio of atom multisets with the
+numerator left unexpanded.  ``normalize_to_rational`` hands the parts of a
+``QExpr`` to the same normalizer.
 """
 
 from __future__ import annotations
@@ -387,33 +387,6 @@ def point_summand(alpha: Sequence[AffineForm], phis: Sequence[tuple]) -> Summand
     return _normalize(n, parity, twice, poch)
 
 
-def _pair_group(
-    vec: tuple[int, ...],
-    numers: list[int],
-    denoms: list[int],
-    num_atoms: Counter,
-    den_atoms: Counter,
-) -> None:
-    """Pair numerator/denominator (q)_L factors sharing the a-coefficient
-    vector ``vec`` (sorted by constant offset) and expand each pair into
-    atoms 1 - q^t z^vec, counted as the atom (t, *vec)."""
-    if len(numers) != len(denoms):
-        raise InternalInconsistency(
-            f"unmatched (q)_L factors with coefficient vector {vec}: "
-            f"{len(numers)} in the numerator vs {len(denoms)} in the denominator"
-        )
-    numers.sort()
-    denoms.sort()
-    for cn, cd in zip(numers, denoms):
-        if cn >= cd:
-            # (q)_{L+cn-cd}/(q)_L = prod_{t=cd+1}^{cn} (1 - q^t z^vec)
-            for t in range(cd + 1, cn + 1):
-                num_atoms[_atom_of((t, *vec))] += 1
-        else:
-            for t in range(cn + 1, cd + 1):
-                den_atoms[_atom_of((t, *vec))] += 1
-
-
 def _normalize(
     n: int, parity: Sequence[int], twice: Sequence[int], poch: dict
 ) -> Summand:
@@ -421,13 +394,19 @@ def _normalize(
     coefficient and collapse the survivors into a factored rational
     function of q and z_1..z_n.
 
-    The a-dependent signs and quadratic q-exponents must cancel and every
-    surviving (q)_L group must pair up; any leftover contradicts the
-    rationality of the coefficient and aborts.  So do a constant-index
-    (q)_m in the numerator, a numerator atom with a z-exponent above 1, and
-    an atom on both sides.  Past those checks every numerator atom
-    1 - q^t z^v has a nonzero 0/1 vector v, so it is irreducible, and every
-    atom's v is nonnegative (each (q)_L index is generically >= 0).  A
+    The (q)_L factors cancel into atoms 1 - q^t z^v per coefficient vector v.
+    With e_c the exponent of (q)_{c + v.a}, atom t has the net multiplicity
+    sum_c e_c [t <= c], on the numerator side if positive and the denominator
+    side if negative.  This telescopes: (q)_{m + v.a} / (q)_{d + v.a} gives
+    [t <= m] - [t <= d] at each t, as does pairing the two sides in order.
+    A numeric (q)_m (v = 0) takes (q)_0 = 1 as its partner.
+
+    Any leftover contradicts the rationality of the coefficient and aborts:
+    a group v != 0 whose exponents do not sum to zero, a numeric (q)_m in
+    the numerator or with m < 0, a numerator atom with a z-exponent above 1,
+    and an a-dependent sign or quadratic q-exponent.  Past those checks every
+    numerator atom has a nonzero 0/1 vector v, so it is irreducible, and
+    every atom's v is nonnegative (each (q)_L index is generically >= 0).  A
     denominator atom could then divide the numerator only by being one of
     its atoms, so no trial division can win: the numerator stays a product
     of atoms, and ``Summand.rational`` expands it only for output.
@@ -435,34 +414,37 @@ def _normalize(
     *_, multinomial = _pair_terms(n)
     for index, exp in multinomial:
         poch[index] = poch.get(index, 0) - exp
-    groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    num_atoms: Counter = Counter()
-    den_atoms: Counter = Counter()
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
     for index, exp in poch.items():
-        if exp == 0:
-            continue
-        vec = index[1:]
-        if not any(vec):
-            m = index[0]
-            if m < 0 or exp > 0:
-                raise InternalInconsistency(
-                    f"numeric factor (q)_{m} with exponent {exp} survives"
-                )
-            for s in range(1, m + 1):
-                den_atoms[_atom_of((s, *vec))] -= exp
-            continue
-        sides = groups.setdefault(vec, ([], []))
-        sides[exp < 0].extend([index[0]] * abs(exp))
-
+        if exp:
+            c, vec = index[0], index[1:]
+            group = groups.setdefault(vec, {})
+            group[c] = group.get(c, 0) + exp
+            if not any(vec):
+                if c < 0 or exp > 0:
+                    raise InternalInconsistency(
+                        f"numeric factor (q)_{c} with exponent {exp} survives"
+                    )
+                group[0] = group.get(0, 0) - exp
+    num_atoms, den_atoms = {}, {}
     for vec in sorted(groups):
-        numers, denoms = groups[vec]
-        _pair_group(vec, numers, denoms, num_atoms, den_atoms)
-    for atom in num_atoms:
-        if max(atom[1:]) > 1 or atom in den_atoms:
+        if net := sum(groups[vec].values()):
             raise InternalInconsistency(
-                f"numerator atom {atom} has a z-exponent above 1 or is "
-                "also a denominator atom"
+                f"unmatched (q)_L factors with coefficient vector {vec}: "
+                f"net exponent {net}"
             )
+        # net is 0 here; over lo < t <= hi it is sum_{c >= t} e_c = -sum_{c <= lo} e_c
+        constants = sorted(groups[vec].items())
+        for (lo, exp), (hi, _) in zip(constants, constants[1:]):
+            net -= exp
+            if net > 0 and max(vec) > 1:
+                raise InternalInconsistency(
+                    f"numerator atom {_atom_of((lo + 1, *vec))} has a z-exponent "
+                    "above 1 or is also a denominator atom"
+                )
+            side = num_atoms if net > 0 else den_atoms
+            for t in range(lo + 1, hi + 1) if net else ():
+                side[_atom_of((t, *vec))] = abs(net)
 
     bit = parity_reduce(parity)
     if bit is None:

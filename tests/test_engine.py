@@ -1,11 +1,11 @@
 """Coefficient pipeline: split terms, combined rational function, delta = 0."""
 
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from qdyson import engine
+from qdyson import engine, latticepoints
 from qdyson.cli import formula_json
 from qdyson.engine import (
     CoefficientQuery,
@@ -35,6 +35,43 @@ def closed_form_one_minus_one():
         {(0, (0, 0)): 1, (0, (1, 0)): -1},
         {Atom(1, (0, 1)): 1},
     )
+
+
+def transposition_form(n, r, s):
+    """R for delta = e_r - e_s (1-based): -q^[r>s] (1 - z_r) prod_{k in (r, s)} z_k
+    / (1 - q prod_{k != r} z_k), where (r, s) is the open cyclic interval
+    from r forward to s."""
+    between = [0] * n
+    for i in range(1, (s - r) % n):
+        between[(r - 1 + i) % n] = 1
+    e_r = tuple(int(k == r - 1) for k in range(n))
+    return RationalQZ.make(
+        -1,
+        AffineForm(int(r > s), between),
+        ZqPoly(n, {(0, (0,) * n): 1, (0, e_r): -1}),
+        Counter({Atom(1, tuple(1 - x for x in e_r)): 1}),
+    )
+
+
+def transposition_r(n, r, s):
+    """The engine's R for delta = e_r - e_s under the default shift."""
+    delta = tuple((k == r) - (k == s) for k in range(1, n + 1))
+    return coefficient_combined(CoefficientQuery(delta=delta)).rational
+
+
+class TestTranspositionFamily:
+    """delta = e_r - e_s past the oracle's reach, against its closed form."""
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_every_ordered_pair(self, n):
+        for r, s in permutations(range(1, n + 1), 2):
+            assert equivalent(transposition_r(n, r, s), transposition_form(n, r, s)), (r, s)
+
+    @pytest.mark.parametrize(
+        "n,r,s", [(12, 5, 2), (12, 1, 12), (16, 1, 16), (16, 9, 4), (24, 7, 3), (24, 24, 1)]
+    )
+    def test_sampled_pairs(self, n, r, s):
+        assert equivalent(transposition_r(n, r, s), transposition_form(n, r, s))
 
 
 class TestQuery:
@@ -104,6 +141,22 @@ class TestSplitWork:
         assert len(split.terms) == 36
         assert len(calls) == len(set(calls)) == len(values) < 4 * 36
         assert set(calls) == values
+
+    @pytest.mark.parametrize("shift,sizings", [("best", 0), ("zero", 1), ((0, 1, 1, 1), 1)])
+    def test_each_set_is_sized_once(self, monkeypatch, shift, sizings):
+        # best_shift returns its search's total, so only a given shift is sized
+        calls = []
+        real = latticepoints.evaluation_set_size
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (engine, latticepoints):
+            monkeypatch.setattr(module, "evaluation_set_size", counted)
+        split = coefficient_split(CoefficientQuery(delta=(-2, 0, 0, 2), shift=shift))
+        assert len(calls) == sizings
+        assert len(split.terms) == evaluation_set_size((-2, 0, 0, 2), split.shift_used)
 
     def test_cleared_terms_count(self):
         # perfbench's engine.cleared_terms sums these lengths; 253,038 is the

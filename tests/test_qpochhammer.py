@@ -5,6 +5,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdyson.engine import CoefficientQuery, coefficient_split
 from qdyson.errors import InternalInconsistency, MixedSign
@@ -12,6 +14,7 @@ from qdyson.exactalg import Atom, QPoly, RationalQZ, ZqPoly, equal_as_rational, 
 from qdyson.qpochhammer import (
     GridSpec,
     QExpr,
+    _normalize,
     evaluate_product_at_point,
     normalize_to_rational,
     phi_prime_at_point,
@@ -24,7 +27,7 @@ from qdyson.qpochhammer import (
 )
 from qdyson.latticepoints import enumerate_evaluation_set, evaluation_set_size, make_grid
 from qdyson.oracle import zero_sum_deltas
-from qdyson.symforms import AffineForm, QuadForm
+from qdyson.symforms import AffineForm, QuadForm, _pairs
 
 
 def a1(n=1):
@@ -428,6 +431,93 @@ def outcome(fn, *args):
         return fn(*args)
     except InternalInconsistency as exc:
         return type(exc)
+
+
+def paired_atoms(poch):
+    """The atoms of net (q)_L exponents by sort-and-zip pairing: per vector,
+    the sorted numerator constants zipped with the sorted denominator ones,
+    each pair (q)_{cn + v.a} / (q)_{cd + v.a} expanded on its own, and each
+    numeric (q)_m expanded alone.  Every abort is an ``InternalInconsistency``."""
+    groups, num, den = {}, Counter(), Counter()
+    for index, exp in poch.items():
+        if exp == 0:
+            continue
+        c, vec = index[0], index[1:]
+        if not any(vec):
+            if c < 0 or exp > 0:
+                raise InternalInconsistency("numeric factor survives")
+            for t in range(1, c + 1):
+                den[Atom(t, vec)] -= exp
+            continue
+        groups.setdefault(vec, ([], []))[exp < 0].extend([c] * abs(exp))
+    for vec, (numers, denoms) in groups.items():
+        if len(numers) != len(denoms):
+            raise InternalInconsistency("unmatched factors")
+        for cn, cd in zip(sorted(numers), sorted(denoms)):
+            side, lo, hi = (num, cd, cn) if cn >= cd else (den, cn, cd)
+            for t in range(lo + 1, hi + 1):
+                side[Atom(t, vec)] += 1
+    if any(max(atom[1:]) > 1 or atom in den for atom in num):
+        raise InternalInconsistency("numerator atom")
+    return tuple(sorted(num.items())), tuple(sorted(den.items()))
+
+
+def normalized_atoms(n, poch):
+    """``_normalize``'s atoms for the net exponents poch, given to it times
+    the q-multinomial that it divides by."""
+    exps = Counter(poch)
+    exps.update(q_multinomial_symbols(n))
+    summand = _normalize(n, [0] * (n + 1), [0] * len(_pairs(n)), dict(exps))
+    return summand.numer, summand.denom
+
+
+@st.composite
+def net_exponents(draw):
+    """(n, net (q)_L exponents) with n <= 4: groups of 0/1 vectors v != 0 with
+    constants in -4..6, one in ten unbalanced, and numeric (q)_m with
+    -1 <= m <= 6, one in five in the numerator."""
+    n = draw(st.integers(1, 4))
+    vectors = st.tuples(*[st.integers(0, 1)] * n)
+    poch = Counter()
+    for vec in draw(st.lists(vectors, max_size=4, unique=True)):
+        if not any(vec):
+            for m in draw(st.lists(st.integers(-1, 6), min_size=1, max_size=3)):
+                poch[AffineForm(m, vec)] += draw(st.sampled_from((-2, -1, -1, -1, 1)))
+            continue
+        numers = draw(st.lists(st.integers(-4, 6), min_size=1, max_size=3))
+        size = len(numers) + draw(st.sampled_from((0,) * 9 + (1,)))
+        for c in numers:
+            poch[AffineForm(c, vec)] += 1
+        for c in draw(st.lists(st.integers(-4, 6), min_size=size, max_size=size)):
+            poch[AffineForm(c, vec)] -= 1
+    return n, poch
+
+
+class TestNetCounts:
+    """``_normalize``'s net counts against sort-and-zip pairing."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(net_exponents())
+    @example((2, {AffineForm(3, (1, 0)): 1, AffineForm(-2, (1, 0)): -1}))
+    @example((2, {AffineForm(5, (1, 1)): 2, AffineForm(1, (1, 1)): -1}))
+    @example((1, {AffineForm(3, (0,)): 1}))
+    @example((1, {AffineForm(-1, (0,)): -1}))
+    @example(
+        (
+            3,
+            {
+                AffineForm(-4, (1, 0, 1)): 1,
+                AffineForm(6, (1, 0, 1)): 1,
+                AffineForm(0, (1, 0, 1)): -1,
+                AffineForm(2, (1, 0, 1)): -1,
+                AffineForm(4, (0, 0, 0)): -2,
+                AffineForm(2, (0, 0, 0)): -1,
+            },
+        )
+    )
+    def test_match_sorted_pairing(self, drawn):
+        n, poch = drawn
+        assert outcome(normalized_atoms, n, poch) == outcome(paired_atoms, poch)
 
 
 def random_delta(rng, n):
