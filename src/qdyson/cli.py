@@ -52,11 +52,12 @@ def _affine_json(form: AffineForm) -> dict:
 
 
 def formula_json(r: RationalQZ, meta: dict | None = None) -> dict:
+    numer, unit, sign = r.numer.extract_unit()
     out = {
-        "sign": r.sign,
-        "unit": {"q": r.unit.constant, "z": list(r.unit.coeffs)},
+        "sign": sign,
+        "unit": {"q": unit.constant, "z": list(unit.coeffs)},
         "numer": [
-            {"q": qe, "z": list(ze), "c": c} for (qe, ze), c in r.numer.items()
+            {"q": qe, "z": list(ze), "c": c} for (qe, ze), c in numer.items()
         ],
         "denom": [
             {"q": atom.constant, "z": list(atom.coeffs), "mult": mult}
@@ -69,18 +70,13 @@ def formula_json(r: RationalQZ, meta: dict | None = None) -> dict:
 
 
 def formula_from_json(obj: dict) -> RationalQZ:
-    n = len(obj["unit"]["z"])
+    unit = obj["unit"]
     numer = ZqPoly(
-        n,
+        len(unit["z"]),
         [((t["q"], tuple(t["z"])), t["c"]) for t in obj["numer"]],
     )
     denom = tuple((Atom(t["q"], t["z"]), t["mult"]) for t in obj["denom"])
-    return RationalQZ(
-        sign=obj["sign"],
-        unit=AffineForm(obj["unit"]["q"], obj["unit"]["z"]),
-        numer=numer,
-        denom=denom,
-    )
+    return RationalQZ(numer.mul_monomial((unit["q"], *unit["z"]), obj["sign"]), denom)
 
 
 def dumps_canonical(obj: dict) -> str:

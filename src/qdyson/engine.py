@@ -24,7 +24,6 @@ from .latticepoints import (
     evaluation_set_size,
 )
 from .qpochhammer import phi_prime_flat, point_summand
-from .symforms import AffineForm
 
 ShiftPolicy = Union[str, tuple[int, ...]]
 
@@ -54,13 +53,6 @@ class CoefficientQuery:
         elif len(self.shift) != len(self.delta):
             raise ValueError("shift vector has wrong length")
 
-    def resolve_shift(self) -> tuple[int, ...]:
-        if self.shift == "zero":
-            return (0,) * self.n
-        if self.shift == "best":
-            return best_shift(self.delta)[0]
-        return tuple(self.shift)
-
 
 @dataclass(frozen=True)
 class SplitResult:
@@ -82,13 +74,12 @@ class CombinedResult:
 def coefficient_split(query: CoefficientQuery) -> SplitResult:
     """One rational summand per evaluation point; phi' is evaluated once per
     distinct grid value (i, alpha_i) of the set."""
+    shift = (0,) * query.n if isinstance(query.shift, str) else tuple(query.shift)
     if sum(query.delta) != 0:  # no set to size; an explicit shift is still reported
-        shift = (0,) * query.n if query.shift == "best" else query.resolve_shift()
         return SplitResult(terms=(), shift_used=shift, delta=query.delta)
     if query.shift == "best":  # the search sizes the set it picks
         shift, size = best_shift(query.delta)
     else:
-        shift = query.resolve_shift()
         size = evaluation_set_size(query.delta, shift)
     if size > MAX_POINTS:
         raise UsageError(
@@ -118,7 +109,7 @@ def combine_sum(terms: Sequence[Summand], n: int) -> RationalQZ:
         for atom, mult in t.denom:
             lcm[atom] = max(lcm[atom], mult)
     total = ZqPoly.sum_of(n, [t.cleared(lcm - t.denom_counter()) for t in terms])
-    return RationalQZ.make(1, AffineForm.const(n, 0), total, lcm)
+    return RationalQZ.make(total, lcm)
 
 
 def combine(split: SplitResult) -> CombinedResult:

@@ -15,8 +15,9 @@ Four sparse representations, all immutable in practice:
   The packing is private: the constructor and ``items()`` take and give
   ((qexp, zexp), coeff) pairs.  ``ZqPoly.sum_of``, the one summation kernel,
   factors out the atom most terms share and multiplies by it once, in place;
-* ``RationalQZ`` -- sign * unit * polynomial over a multiset of
-  denominator atoms, never expanded;
+* ``RationalQZ`` -- a ZqPoly numerator over a multiset of denominator
+  atoms, never expanded.  Its sign and unit monomial are split off only
+  when it is written (``render`` and ``cli.formula_json``);
 * ``Summand`` -- sign * unit * a multiset of numerator atoms over a
   multiset of denominator atoms: one evaluation point's term, kept factored
   until it is summed (``cleared`` gives its ``sum_of`` pair, which shares
@@ -24,8 +25,8 @@ Four sparse representations, all immutable in practice:
 
 With z_i = q^{a_i}, a monomial q^c * prod z_i^{v_i} is q^L for the
 ``AffineForm`` L = c + v.a, the int tuple (c, v_1..v_n), and every exponent
-outside a ZqPoly's terms is such a form: the unit of ``RationalQZ`` and
-``Summand``, the argument of ``ZqPoly.mul_monomial``, and each ``Atom``
+outside a ZqPoly's terms is such a form: the unit of ``Summand`` (the one
+stored unit), the argument of ``ZqPoly.mul_monomial``, and each ``Atom``
 1 - q^L, which is its nonzero form L itself.  So specializing any of them
 at concrete a is ``form.evaluate(a)``.
 
@@ -555,28 +556,26 @@ class ZqPoly:
 
 @dataclass(frozen=True)
 class RationalQZ:
-    """sign * unit * numer / prod(atoms); the factored rational function R.
+    """numer / prod(atoms); the factored rational function R.
 
     The denominator is a multiset of atoms, stored as a sorted tuple of
     (atom, multiplicity) pairs and never expanded.
     """
 
-    sign: int
-    unit: AffineForm
     numer: ZqPoly
     denom: tuple[tuple[Atom, int], ...]
 
     @property
     def n(self) -> int:
-        return self.unit.n
+        return self.numer.n
 
     @staticmethod
     def zero(n: int) -> "RationalQZ":
-        return RationalQZ(1, AffineForm.const(n, 0), ZqPoly.zero(n), ())
+        return RationalQZ(ZqPoly.zero(n), ())
 
     @staticmethod
     def one(n: int) -> "RationalQZ":
-        return RationalQZ(1, AffineForm.const(n, 0), ZqPoly.one(n), ())
+        return RationalQZ(ZqPoly.one(n), ())
 
     def is_zero(self) -> bool:
         return self.numer.is_zero()
@@ -585,17 +584,11 @@ class RationalQZ:
         return Counter(dict(self.denom))
 
     @staticmethod
-    def make(
-        sign: int,
-        unit: AffineForm,
-        numer: ZqPoly,
-        denom: Mapping[Atom, int] | Counter,
-    ) -> "RationalQZ":
+    def make(numer: ZqPoly, denom: Mapping[Atom, int] | Counter) -> "RationalQZ":
         """Canonical constructor: cancels atoms into the numerator by exact
-        trial division, then extracts the unit monomial and the sign."""
-        n = numer.n
+        trial division."""
         if numer.is_zero():
-            return RationalQZ.zero(n)
+            return RationalQZ.zero(numer.n)
         remaining: Counter = Counter()
         for atom, mult in denom.items():
             if mult < 0:
@@ -608,21 +601,20 @@ class RationalQZ:
                 mult -= 1
             if mult:
                 remaining[atom] = mult
-        reduced, mono, s = numer.extract_unit()
-        return RationalQZ(sign * s, unit + mono, reduced, _atom_tuple(remaining))
+        return RationalQZ(numer, _atom_tuple(remaining))
 
     def cleared_numer(self, extra_denom: Mapping[Atom, int] = ()) -> ZqPoly:
-        """sign * unit * numer * prod(extra atoms) as a single ZqPoly."""
-        poly = self.numer.mul_monomial(self.unit, self.sign)
-        return ZqPoly.sum_of(self.n, [(poly, dict(extra_denom))])
+        """numer * prod(extra atoms) as a single ZqPoly."""
+        return ZqPoly.sum_of(self.n, [(self.numer, dict(extra_denom))])
 
     def render(self, latex: bool = False) -> str:
-        """Human-readable sign * unit * numer / atoms form."""
+        """Human-readable sign * unit * reduced numer / atoms form."""
         if self.is_zero():
             return "0"
-        sign = "-" if self.sign < 0 else ""
-        unit = _mono_str(self.unit, latex)
-        numer = self.numer.render(latex)
+        reduced, mono, s = self.numer.extract_unit()
+        sign = "-" if s < 0 else ""
+        unit = _mono_str(mono, latex)
+        numer = reduced.render(latex)
         num_parts = []
         if unit != "1":
             num_parts.append(unit)
@@ -673,9 +665,8 @@ class Summand:
 
     def rational(self) -> RationalQZ:
         """The canonical RationalQZ, with no trial division: no denominator
-        atom divides the numerator (see ``normalize_to_rational``)."""
-        numer, mono, sign = self.cleared_numer().extract_unit()
-        return RationalQZ(sign, mono, numer, self.denom)
+        atom divides the numerator (see ``qpochhammer._normalize``)."""
+        return RationalQZ(self.cleared_numer(), self.denom)
 
 
 def substitute_z(r: RationalQZ, a: Sequence[int]) -> tuple[QPoly, QPoly]:
@@ -684,7 +675,7 @@ def substitute_z(r: RationalQZ, a: Sequence[int]) -> tuple[QPoly, QPoly]:
         raise DimensionMismatch("substitution vector has wrong length")
     if r.is_zero():
         return QPoly(), QPoly.one()
-    num = (r.numer.substitute_z(a) * r.sign).shift(r.unit.evaluate(a))
+    num = r.numer.substitute_z(a)
     den = {0: 1}
     for atom, mult in r.denom:
         e = atom.evaluate(a)

@@ -65,8 +65,6 @@ class EvaluationPoint:
 class EvaluationSet:
     points: tuple[EvaluationPoint, ...]
     grid: GridSpec
-    delta: tuple[int, ...]
-    shift: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -142,7 +140,7 @@ def enumerate_evaluation_set(
                     f"coinciding alpha vectors for delta={delta}, shift={shift}"
                 )
             points[alpha] = EvaluationPoint(pi=pi, m=m, alpha=alpha)
-    return EvaluationSet(tuple(points.values()), make_grid(delta, shift), delta, shift)
+    return EvaluationSet(tuple(points.values()), make_grid(delta, shift))
 
 
 @cache

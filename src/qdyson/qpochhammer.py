@@ -439,8 +439,7 @@ def _normalize(
             net -= exp
             if net > 0 and max(vec) > 1:
                 raise InternalInconsistency(
-                    f"numerator atom {_atom_of((lo + 1, *vec))} has a z-exponent "
-                    "above 1 or is also a denominator atom"
+                    f"numerator atom {_atom_of((lo + 1, *vec))} has a z-exponent above 1"
                 )
             side = num_atoms if net > 0 else den_atoms
             for t in range(lo + 1, hi + 1) if net else ():

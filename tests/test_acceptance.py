@@ -73,7 +73,7 @@ def reference_formula_2m2_0_0() -> RationalQZ:
             Atom(2, (0, 1, 1, 1)): 1,
         }
     )
-    return RationalQZ.make(1, AffineForm.const(4, 0), big_n.mul_atom(one_minus_z1), denom)
+    return RationalQZ.make(big_n.mul_atom(one_minus_z1), denom)
 
 
 def test_criterion_1_constant_term():
@@ -105,9 +105,7 @@ def test_criterion_2_recorded_closed_form():
 def test_criterion_3_worked_closed_form():
     result = coefficient_combined(CoefficientQuery(delta=(1, -1), shift="zero"))
     closed = RationalQZ.make(
-        -1,
-        AffineForm.const(2, 0),
-        ZqPoly(2, {(0, (0, 0)): 1, (0, (1, 0)): -1}),  # 1 - z1
+        -ZqPoly(2, {(0, (0, 0)): 1, (0, (1, 0)): -1}),  # -(1 - z1)
         Counter({Atom(1, (0, 1)): 1}),  # 1 - q z2
     )
     assert equivalent(result.rational, closed)

@@ -1,12 +1,14 @@
 """Coefficient pipeline: split terms, combined rational function, delta = 0."""
 
+import json
 from collections import Counter
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
 from qdyson import engine, latticepoints
-from qdyson.cli import formula_json
+from qdyson.cli import formula_from_json, formula_json
 from qdyson.engine import (
     CoefficientQuery,
     coefficient_combined,
@@ -22,9 +24,8 @@ from qdyson.symforms import AffineForm
 
 
 def rq(n, sign, numer_terms, denom):
-    return RationalQZ.make(
-        sign, AffineForm.const(n, 0), ZqPoly(n, numer_terms), Counter(denom)
-    )
+    numer = ZqPoly(n, {e: sign * c for e, c in numer_terms.items()})
+    return RationalQZ.make(numer, Counter(denom))
 
 
 def closed_form_one_minus_one():
@@ -46,9 +47,7 @@ def transposition_form(n, r, s):
         between[(r - 1 + i) % n] = 1
     e_r = tuple(int(k == r - 1) for k in range(n))
     return RationalQZ.make(
-        -1,
-        AffineForm(int(r > s), between),
-        ZqPoly(n, {(0, (0,) * n): 1, (0, e_r): -1}),
+        ZqPoly(n, {(0, (0,) * n): 1, (0, e_r): -1}).mul_monomial((int(r > s), *between), -1),
         Counter({Atom(1, tuple(1 - x for x in e_r)): 1}),
     )
 
@@ -74,6 +73,35 @@ class TestTranspositionFamily:
         assert equivalent(transposition_r(n, r, s), transposition_form(n, r, s))
 
 
+PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "formulas.tsv"
+
+
+def lifted_pinned_r(head, n):
+    """The pinned n = 4 R of head with z4 -> z4 z5 .. zn on every exponent
+    vector."""
+    lines = dict(line.split("\t") for line in PINNED.read_text().splitlines())
+    r4 = formula_from_json(json.loads(lines[head]))
+
+    def lift(qe, ze):
+        return qe, ze + (ze[-1],) * (n - 4)
+
+    numer = ZqPoly(n, [(lift(qe, ze), c) for (qe, ze), c in r4.numer.items()])
+    denom = sorted((Atom(*lift(atom.constant, atom.coeffs)), m) for atom, m in r4.denom)
+    return RationalQZ(numer, tuple(denom))
+
+
+class TestTailFamilies:
+    """(1,1,-1,-1,0,..,0) and (1,-2,1,0,..,0) past the oracle's reach: R is
+    the n = 4 R with z4 standing for the product z4 .. zn."""
+
+    @pytest.mark.parametrize("head", ["1,1,-1,-1", "1,-2,1,0"])
+    @pytest.mark.parametrize("n", [5, 8, 12, 16, 24])
+    def test_is_the_lifted_n4_form(self, head, n):
+        delta = tuple(map(int, head.split(","))) + (0,) * (n - 4)
+        r = coefficient_combined(CoefficientQuery(delta=delta)).rational
+        assert r == lifted_pinned_r(head, n)
+
+
 class TestQuery:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -82,8 +110,8 @@ class TestQuery:
             CoefficientQuery(delta=(1, -1), shift=(0,))
 
     def test_resolve(self):
-        assert CoefficientQuery(delta=(1, -1), shift="zero").resolve_shift() == (0, 0)
-        assert CoefficientQuery(delta=(1, -1), shift=(0, 3)).resolve_shift() == (0, 3)
+        assert coefficient_split(CoefficientQuery(delta=(1, -1), shift="zero")).shift_used == (0, 0)
+        assert coefficient_split(CoefficientQuery(delta=(1, -1), shift=(0, 3))).shift_used == (0, 3)
 
 
 class TestConstantTerm:
@@ -109,7 +137,7 @@ class TestSplit:
         with pytest.raises(UsageError, match="40,513,501 evaluation points"):
             coefficient_split(CoefficientQuery(delta=(1, -1), shift=(9000, 0)))
         query = CoefficientQuery(delta=(2, -1, -1), shift="zero")
-        size = evaluation_set_size(query.delta, query.resolve_shift())
+        size = evaluation_set_size(query.delta, (0, 0, 0))
         monkeypatch.setattr(engine, "MAX_POINTS", size)
         assert len(coefficient_split(query).terms) == size
         monkeypatch.setattr(engine, "MAX_POINTS", size - 1)
@@ -276,16 +304,11 @@ class TestEquivalent:
 
     def test_cross_cancelled_forms(self):
         # (1 - q^2 z1^2)/(1 + q z1) == 1 - q z1
-        lhs = RationalQZ(
-            1,
-            AffineForm.const(1, 0),
-            ZqPoly(1, {(0, (0,)): 1, (2, (2,)): -1}),
-            (),
-        )
+        lhs = RationalQZ(ZqPoly(1, {(0, (0,)): 1, (2, (2,)): -1}), ())
         # fold the (1 + q z1) factor into the comparison by equivalence with
         # its product against (1 - q z1)
         one_plus = ZqPoly(1, {(0, (0,)): 1, (1, (1,)): 1})
-        prod = RationalQZ.make(1, AffineForm.const(1, 0), one_plus.mul_atom(Atom(1, (1,))), {})
+        prod = RationalQZ.make(one_plus.mul_atom(Atom(1, (1,))), {})
         assert equivalent(lhs, prod)
 
     def test_dimension_check(self):

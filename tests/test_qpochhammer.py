@@ -68,7 +68,7 @@ def evaluation_points(deltas):
     """Every point of each delta's evaluation set, zero and best shift."""
     for delta in deltas:
         for policy in ("zero", "best"):
-            shift = CoefficientQuery(delta=delta, shift=policy).resolve_shift()
+            shift = coefficient_split(CoefficientQuery(delta=delta, shift=policy)).shift_used
             points = enumerate_evaluation_set(delta, shift).points
             name = ",".join(map(str, delta))
             for k, pt in enumerate(points):
@@ -311,12 +311,7 @@ class TestNormalize:
         poch[a1(2)] -= 1
         expr = QExpr.build(2, QExpr.identity(2).parity, QExpr.identity(2).qexp, poch)
         result = normalize_to_rational(expr, 2).rational()
-        expected = RationalQZ.make(
-            1,
-            AffineForm.const(2, 0),
-            ZqPoly(2, {(0, (0, 0)): 1, (1, (1, 0)): -1}),
-            {},
-        )
+        expected = RationalQZ.make(ZqPoly(2, {(0, (0, 0)): 1, (1, (1, 0)): -1}), {})
         assert result == expected
 
     def test_build_rejects_negative_index(self):
@@ -389,11 +384,11 @@ class TestNormalize:
 def expanded_rational(summand):
     """The summand as normalization used to build it: its numerator atoms
     multiplied out one at a time, then ``RationalQZ.make``'s trial division."""
-    numer = ZqPoly.one(summand.n)
+    numer = ZqPoly.one(summand.n).mul_monomial(summand.unit, summand.sign)
     for atom, mult in summand.numer:
         for _ in range(mult):
             numer = numer.mul_atom(atom)
-    return RationalQZ.make(summand.sign, summand.unit, numer, summand.denom_counter())
+    return RationalQZ.make(numer, summand.denom_counter())
 
 
 class TestSummand:
@@ -546,8 +541,8 @@ class TestEnginePass:
     """``point_summand`` against the ``QExpr`` reference, summand for summand."""
 
     def assert_split_matches_reference(self, delta, shift):
-        evalset = enumerate_evaluation_set(delta, CoefficientQuery(delta, shift).resolve_shift())
         split = coefficient_split(CoefficientQuery(delta, shift))
+        evalset = enumerate_evaluation_set(delta, split.shift_used)
         assert [pt for pt, _ in split.terms] == list(evalset.points)
         for pt, summand in split.terms:
             assert summand == reference_summand(pt.alpha, evalset.grid), (delta, shift, pt)
