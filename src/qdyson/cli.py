@@ -51,19 +51,20 @@ def _affine_json(form: AffineForm) -> dict:
     return {"c0": form.constant, "a": list(form.coeffs)}
 
 
+def _atoms_json(atoms: tuple[tuple[Atom, int], ...]) -> list:
+    return [{"q": a.constant, "z": list(a.coeffs), "mult": m} for a, m in atoms]
+
+
+def _fraction_json(sign: int, unit: AffineForm, numer: list, denom: tuple) -> dict:
+    """The one JSON layout of R and of a summand; numer is already JSON."""
+    unit = {"q": unit.constant, "z": list(unit.coeffs)}
+    return {"sign": sign, "unit": unit, "numer": numer, "denom": _atoms_json(denom)}
+
+
 def formula_json(r: RationalQZ, meta: dict | None = None) -> dict:
     numer, unit, sign = r.numer.extract_unit()
-    out = {
-        "sign": sign,
-        "unit": {"q": unit.constant, "z": list(unit.coeffs)},
-        "numer": [
-            {"q": qe, "z": list(ze), "c": c} for (qe, ze), c in numer.items()
-        ],
-        "denom": [
-            {"q": atom.constant, "z": list(atom.coeffs), "mult": mult}
-            for atom, mult in r.denom
-        ],
-    }
+    terms = [{"q": qe, "z": list(ze), "c": c} for (qe, ze), c in numer.items()]
+    out = _fraction_json(sign, unit, terms, r.denom)
     if meta is not None:
         out["meta"] = meta
     return out
@@ -96,9 +97,9 @@ def split_json(split: SplitResult) -> dict:
                     "m": list(pt.m),
                     "alpha": [_affine_json(f) for f in pt.alpha],
                 },
-                "formula": formula_json(r.rational()),
+                "summand": _fraction_json(s.sign, s.unit, _atoms_json(s.numer), s.denom),
             }
-            for pt, r in split.terms
+            for pt, s in split.terms
         ],
         "meta": {
             "delta": list(split.delta),
@@ -283,11 +284,9 @@ def cmd_coeff(args) -> int:
         else:
             latex = args.format == "latex"
             lines = [f"delta: {list(delta)}", f"shift: {list(split.shift_used)}"]
-            for k, (pt, r) in enumerate(split.terms):
-                lines.append(
-                    f"term {k + 1}: pi={list(pt.pi)} m={list(pt.m)} "
-                    f"R_k = {r.rational().render(latex)}"
-                )
+            for k, (pt, r) in enumerate(split.terms, 1):
+                row = f"term {k}: pi={list(pt.pi)} m={list(pt.m)} R_k = "
+                lines.append(row + r.render(latex))
             lines.append(f"total terms: {len(split.terms)}")
             body = note + "\n".join(lines) + "\n"
     else:
@@ -382,26 +381,22 @@ def cmd_article(args) -> int:
     result = combine(split)
 
     variables = "1 variable" if n == 1 else f"{n} variables"
-    lines = []
-    lines.append("Theorem.")
-    lines.append(
-        f"  The coefficient of "
+    lines = [
+        "Theorem.",
+        "  The coefficient of "
         + " ".join(f"x{i + 1}^{d}" for i, d in enumerate(delta))
         + " in the q-Dyson product in "
-        + f"{variables} equals R * {render_multinomial(n, latex)}, where"
-    )
-    lines.append(f"  R = {result.rational.render(latex)}")
-    lines.append("")
-    lines.append(f"Evaluation set (shift {list(split.shift_used)}):")
+        + f"{variables} equals R * {render_multinomial(n, latex)}, where",
+        f"  R = {result.rational.render(latex)}",
+        "",
+        f"Evaluation set (shift {list(split.shift_used)}):",
+    ]
     for k, (pt, _) in enumerate(split.terms):
         alpha = ", ".join(str(f) for f in pt.alpha)
         lines.append(f"  point {k + 1}: pi={list(pt.pi)} m={list(pt.m)} alpha=({alpha})")
-    lines.append("")
-    lines.append("Per-point rational summands:")
-    for k, (_, r) in enumerate(split.terms):
-        lines.append(f"  R_{k + 1} = {r.rational().render(latex)}")
-    lines.append("")
-    lines.append("Verification appendix:")
+    lines += ["", "Per-point rational summands:"]
+    lines += (f"  R_{k} = {r.render(latex)}" for k, (_, r) in enumerate(split.terms, 1))
+    lines += ["", "Verification appendix:"]
     for sample in ((1,) * n, (2,) * n):
         rep = verify_query(delta, sample, shift=shift, rational=result.rational)
         status = "match" if rep.match else "MISMATCH"

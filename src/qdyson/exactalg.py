@@ -21,7 +21,7 @@ Four sparse representations, all immutable in practice:
 * ``Summand`` -- sign * unit * a multiset of numerator atoms over a
   multiset of denominator atoms: one evaluation point's term, kept factored
   until it is summed (``cleared`` gives its ``sum_of`` pair, which shares
-  numerator atoms across summands too) or rendered (``rational``).
+  numerator atoms across summands too) and rendered factored as well.
 
 With z_i = q^{a_i}, a monomial q^c * prod z_i^{v_i} is q^L for the
 ``AffineForm`` L = c + v.a, the int tuple (c, v_1..v_n), and every exponent
@@ -30,8 +30,8 @@ stored unit), the argument of ``ZqPoly.mul_monomial``, and each ``Atom``
 1 - q^L, which is its nonzero form L itself.  So specializing any of them
 at concrete a is ``form.evaluate(a)``.
 
-Each of ``ZqPoly`` and ``RationalQZ`` renders itself as text (``str``) or
-LaTeX (``render(latex=True)``); ``QPoly``'s text uses ZqPoly's term renderer.
+``ZqPoly``, ``RationalQZ`` and ``Summand`` render as text (``str``) or LaTeX
+(``render(latex=True)``); ``QPoly``'s text uses ZqPoly's term renderer.
 """
 
 from __future__ import annotations
@@ -277,6 +277,21 @@ def _atom_str(atom: Atom, mult: int, latex: bool) -> str:
     if latex:
         return f"\\left({body}\\right)" + (f"^{{{mult}}}" if mult > 1 else "")
     return f"({body})" + (f"^{mult}" if mult > 1 else "")
+
+
+def _fraction_str(
+    sign: int, unit: AffineForm, factors: list[str], denom: tuple, latex: bool
+) -> str:
+    """sign * unit * factors / denom atoms, factors 1 left out: R or a summand."""
+    parts = [p for p in (_mono_str(unit, latex), *factors) if p != "1"]
+    num = (" " if latex else " * ").join(parts) or "1"
+    sign_str = "-" if sign < 0 else ""
+    if not denom:
+        return f"{sign_str}{num}"
+    den = " ".join(_atom_str(a, m, latex) for a, m in denom)
+    if latex:
+        return f"{sign_str}\\frac{{{num}}}{{{den}}}"
+    return f"{sign_str}{num} / ({den})"
 
 
 # Packed exponent keys.  A ZqPoly term q^{e_0} z_1^{e_1} .. z_n^{e_n} is keyed
@@ -611,22 +626,10 @@ class RationalQZ:
         """Human-readable sign * unit * reduced numer / atoms form."""
         if self.is_zero():
             return "0"
-        reduced, mono, s = self.numer.extract_unit()
-        sign = "-" if s < 0 else ""
-        unit = _mono_str(mono, latex)
+        reduced, unit, sign = self.numer.extract_unit()
         numer = reduced.render(latex)
-        num_parts = []
-        if unit != "1":
-            num_parts.append(unit)
-        if numer != "1" or not num_parts:
-            num_parts.append(numer if len(numer.split()) == 1 else f"({numer})")
-        num = (" " if latex else " * ").join(num_parts)
-        if not self.denom:
-            return f"{sign}{num}"
-        den = " ".join(_atom_str(a, m, latex) for a, m in self.denom)
-        if latex:
-            return f"{sign}\\frac{{{num}}}{{{den}}}"
-        return f"{sign}{num} / ({den})"
+        factor = numer if len(numer.split()) == 1 else f"({numer})"
+        return _fraction_str(sign, unit, [factor], self.denom, latex)
 
     __str__ = render
 
@@ -637,7 +640,7 @@ class Summand:
     of the grid sum.
 
     Both multisets are sorted tuples of (atom, multiplicity) pairs, kept
-    factored into the combine; ``rational`` expands the numerator for output.
+    factored into the combine and into the output.
     """
 
     sign: int
@@ -663,10 +666,12 @@ class Summand:
         """sign * unit * prod(numer atoms) * prod(extra atoms) as one ZqPoly."""
         return ZqPoly.sum_of(self.n, [self.cleared(extra_denom)])
 
-    def rational(self) -> RationalQZ:
-        """The canonical RationalQZ, with no trial division: no denominator
-        atom divides the numerator (see ``qpochhammer._normalize``)."""
-        return RationalQZ(self.cleared_numer(), self.denom)
+    def render(self, latex: bool = False) -> str:
+        """sign * unit * (numer atoms) / (denom atoms), nothing expanded."""
+        factors = [_atom_str(a, m, latex) for a, m in self.numer]
+        return _fraction_str(self.sign, self.unit, factors, self.denom, latex)
+
+    __str__ = render
 
 
 def substitute_z(r: RationalQZ, a: Sequence[int]) -> tuple[QPoly, QPoly]:

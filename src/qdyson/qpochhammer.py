@@ -409,7 +409,7 @@ def _normalize(
     every atom's v is nonnegative (each (q)_L index is generically >= 0).  A
     denominator atom could then divide the numerator only by being one of
     its atoms, so no trial division can win: the numerator stays a product
-    of atoms, and ``Summand.rational`` expands it only for output.
+    of atoms, through the combine and into the output.
     """
     *_, multinomial = _pair_terms(n)
     for index, exp in multinomial:

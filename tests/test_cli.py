@@ -31,12 +31,29 @@ from qdyson.engine import (
     coefficient_split,
     equivalent,
 )
+from qdyson.exactalg import Atom, Summand
+from qdyson.oracle import zero_sum_deltas
+from qdyson.symforms import AffineForm
 
 
 def run(capsys, *argv):
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def summands_from_json(out):
+    """The summands of a ``coeff --split --format json`` output."""
+
+    def atoms(entries):
+        return tuple((Atom(t["q"], t["z"]), t["mult"]) for t in entries)
+
+    summands = []
+    for term in json.loads(out)["terms"]:
+        s = term["summand"]
+        unit = AffineForm(s["unit"]["q"], s["unit"]["z"])
+        summands.append(Summand(s["sign"], unit, atoms(s["numer"]), atoms(s["denom"])))
+    return summands
 
 
 class TestExitCodes:
@@ -233,8 +250,8 @@ class TestCoeffOutput:
         )
         assert out == (
             "delta: [1, -1, 0]\nshift: [0, 0, 0]\n"
-            "term 1: pi=[1, 2, 3] m=[0, 0, 0] R_k = -z1 * (-1 + z3) / ((1 - q*z2*z3))\n"
-            "term 2: pi=[2, 3, 1] m=[0, 0, 0] R_k = (-1 + z1*z3) / ((1 - q*z2*z3))\n"
+            "term 1: pi=[1, 2, 3] m=[0, 0, 0] R_k = z1 * (1 - z3) / ((1 - q*z2*z3))\n"
+            "term 2: pi=[2, 3, 1] m=[0, 0, 0] R_k = -(1 - z1*z3) / ((1 - q*z2*z3))\n"
             "total terms: 2\n"
         )
         _, out, _ = run(
@@ -244,12 +261,12 @@ class TestCoeffOutput:
         assert out == (
             '{"terms":[{"point":{"pi":[1,2,3],"m":[0,0,0],"alpha":['
             '{"c0":0,"a":[0,0,0]},{"c0":0,"a":[1,0,0]},{"c0":0,"a":[1,1,0]}]},'
-            '"formula":{"sign":-1,"unit":{"q":0,"z":[1,0,0]},"numer":['
-            '{"q":0,"z":[0,0,0],"c":-1},{"q":0,"z":[0,0,1],"c":1}],"denom":['
+            '"summand":{"sign":1,"unit":{"q":0,"z":[1,0,0]},"numer":['
+            '{"q":0,"z":[0,0,1],"mult":1}],"denom":['
             '{"q":1,"z":[0,1,1],"mult":1}]}},{"point":{"pi":[2,3,1],"m":[0,0,0],'
             '"alpha":[{"c0":1,"a":[0,1,1]},{"c0":0,"a":[0,0,0]},{"c0":0,"a":[0,1,0]}]},'
-            '"formula":{"sign":1,"unit":{"q":0,"z":[0,0,0]},"numer":['
-            '{"q":0,"z":[0,0,0],"c":-1},{"q":0,"z":[1,0,1],"c":1}],"denom":['
+            '"summand":{"sign":-1,"unit":{"q":0,"z":[0,0,0]},"numer":['
+            '{"q":0,"z":[1,0,1],"mult":1}],"denom":['
             '{"q":1,"z":[0,1,1],"mult":1}]}}],'
             '"meta":{"delta":[1,-1,0],"shift":[0,0,0],"points":2}}\n'
         )
@@ -327,6 +344,24 @@ class TestJson:
     def test_round_trip_preserves_value(self):
         r = coefficient_combined(CoefficientQuery(delta=(1, -1, 0))).rational
         assert formula_from_json(formula_json(r)) == r
+
+    @pytest.mark.parametrize("shift,count,negative", [("zero", 697, 590), ("best", 159, 41)])
+    def test_split_round_trip(self, capsys, shift, count, negative):
+        # every n = 4 delta with sum |delta_i| <= 4: the JSON summands parse
+        # back to the engine's exactly, and each text row is the summand's str
+        summands = []
+        for delta in zero_sum_deltas(4, 4):
+            argv = ("coeff", f"--delta={','.join(map(str, delta))}", "--shift", shift)
+            terms = [s for _, s in coefficient_split(CoefficientQuery(delta, shift)).terms]
+            code, out, _ = run(capsys, *argv, "--split", "--format", "json")
+            assert (code, summands_from_json(out)) == (EXIT_OK, terms), delta
+            _, out, _ = run(capsys, *argv, "--split")
+            rows = [line.split(" R_k = ", 1)[1] for line in out.splitlines()[2:-1]]
+            assert rows == [str(s) for s in terms], delta
+            summands += terms
+        # summands with a numerator atom of negative q-exponent, as 1 - q^-1*z2
+        low = sum(any(atom.constant < 0 for atom, _ in s.numer) for s in summands)
+        assert (len(summands), low) == (count, negative)
 
     def test_verify_json(self, capsys):
         _, out, _ = run(
@@ -484,28 +519,28 @@ PINNED_COEFF = [
         ("coeff", "--delta", "0,0", "--shift", "0,2", "--split"),
         "delta: [0, 0]\n"
         "shift: [0, 2]\n"
-        "term 1: pi=[1, 2] m=[0, 0] R_k = -z1^-2 * (z1 - q - z1^2 + q*z1) / ((1 - q) (1 - q^2))\n"
-        "term 2: pi=[1, 2] m=[0, 1] R_k = -z1^-2 * (1 - z1 - q*z1*z2 + q*z1^2*z2) / ((1 - q)^2)\n"
-        "term 3: pi=[1, 2] m=[0, 2] R_k = z1^-2 * (1 - q*z1*z2 - q^2*z1*z2 + q^3*z1^2*z2^2)"
+        "term 1: pi=[1, 2] m=[0, 0] R_k = q*z1^-2 * (1 - q^-1*z1) * (1 - z1) / ((1 - q) (1 - q^2))\n"
+        "term 2: pi=[1, 2] m=[0, 1] R_k = -z1^-2 * (1 - z1) * (1 - q*z1*z2) / ((1 - q)^2)\n"
+        "term 3: pi=[1, 2] m=[0, 2] R_k = z1^-2 * (1 - q*z1*z2) * (1 - q^2*z1*z2)"
         " / ((1 - q) (1 - q^2))\n"
-        "term 4: pi=[1, 2] m=[1, 0] R_k = q*z1^-1 * (1 - z2 - z1 + z1*z2) / ((1 - q)^2)\n"
-        "term 5: pi=[1, 2] m=[1, 1] R_k = -q*z1^-1 * (1 - z2 - q*z1*z2 + q*z1*z2^2) / ((1 - q)^2)\n"
-        "term 6: pi=[1, 2] m=[2, 0] R_k = -q^2 * (z2 - q - z2^2 + q*z2) / ((1 - q) (1 - q^2))\n"
+        "term 4: pi=[1, 2] m=[1, 0] R_k = q*z1^-1 * (1 - z2) * (1 - z1) / ((1 - q)^2)\n"
+        "term 5: pi=[1, 2] m=[1, 1] R_k = -q*z1^-1 * (1 - z2) * (1 - q*z1*z2) / ((1 - q)^2)\n"
+        "term 6: pi=[1, 2] m=[2, 0] R_k = q^3 * (1 - q^-1*z2) * (1 - z2) / ((1 - q) (1 - q^2))\n"
         "total terms: 6\n",
         "delta: [0, 0]\n"
         "shift: [0, 2]\n"
-        "term 1: pi=[1, 2] m=[0, 0] R_k = -\\frac{z_{1}^{-2} (z_{1} - q - z_{1}^{2} + q z_{1})}"
-        "{\\left(1 - q\\right) \\left(1 - q^{2}\\right)}\n"
-        "term 2: pi=[1, 2] m=[0, 1] R_k = -\\frac{z_{1}^{-2} (1 - z_{1} - q z_{1} z_{2}"
-        " + q z_{1}^{2} z_{2})}{\\left(1 - q\\right)^{2}}\n"
-        "term 3: pi=[1, 2] m=[0, 2] R_k = \\frac{z_{1}^{-2} (1 - q z_{1} z_{2} - q^{2} z_{1} z_{2}"
-        " + q^{3} z_{1}^{2} z_{2}^{2})}{\\left(1 - q\\right) \\left(1 - q^{2}\\right)}\n"
-        "term 4: pi=[1, 2] m=[1, 0] R_k = \\frac{q z_{1}^{-1} (1 - z_{2} - z_{1} + z_{1} z_{2})}"
-        "{\\left(1 - q\\right)^{2}}\n"
-        "term 5: pi=[1, 2] m=[1, 1] R_k = -\\frac{q z_{1}^{-1} (1 - z_{2} - q z_{1} z_{2}"
-        " + q z_{1} z_{2}^{2})}{\\left(1 - q\\right)^{2}}\n"
-        "term 6: pi=[1, 2] m=[2, 0] R_k = -\\frac{q^{2} (z_{2} - q - z_{2}^{2} + q z_{2})}"
-        "{\\left(1 - q\\right) \\left(1 - q^{2}\\right)}\n"
+        "term 1: pi=[1, 2] m=[0, 0] R_k = \\frac{q z_{1}^{-2} \\left(1 - q^{-1} z_{1}\\right)"
+        " \\left(1 - z_{1}\\right)}{\\left(1 - q\\right) \\left(1 - q^{2}\\right)}\n"
+        "term 2: pi=[1, 2] m=[0, 1] R_k = -\\frac{z_{1}^{-2} \\left(1 - z_{1}\\right)"
+        " \\left(1 - q z_{1} z_{2}\\right)}{\\left(1 - q\\right)^{2}}\n"
+        "term 3: pi=[1, 2] m=[0, 2] R_k = \\frac{z_{1}^{-2} \\left(1 - q z_{1} z_{2}\\right)"
+        " \\left(1 - q^{2} z_{1} z_{2}\\right)}{\\left(1 - q\\right) \\left(1 - q^{2}\\right)}\n"
+        "term 4: pi=[1, 2] m=[1, 0] R_k = \\frac{q z_{1}^{-1} \\left(1 - z_{2}\\right)"
+        " \\left(1 - z_{1}\\right)}{\\left(1 - q\\right)^{2}}\n"
+        "term 5: pi=[1, 2] m=[1, 1] R_k = -\\frac{q z_{1}^{-1} \\left(1 - z_{2}\\right)"
+        " \\left(1 - q z_{1} z_{2}\\right)}{\\left(1 - q\\right)^{2}}\n"
+        "term 6: pi=[1, 2] m=[2, 0] R_k = \\frac{q^{3} \\left(1 - q^{-1} z_{2}\\right)"
+        " \\left(1 - z_{2}\\right)}{\\left(1 - q\\right) \\left(1 - q^{2}\\right)}\n"
         "total terms: 6\n",
     ),
 ]
@@ -520,7 +555,7 @@ PINNED_ARTICLE = (
     "  point 1: pi=[1, 2, 3] m=[0, 0, 0] alpha=(0, a1, a1 + a2)\n"
     "\n"
     "Per-point rational summands:\n"
-    "  R_1 = (-1 + z1) / ((1 - q*z2*z3))\n"
+    "  R_1 = -(1 - z1) / ((1 - q*z2*z3))\n"
     "\n"
     "Verification appendix:\n"
     "  a = [1, 1, 1]: coefficient = -1 - q  [match]\n"
@@ -609,8 +644,8 @@ class TestPinnedBytes:
         args = build_parser().parse_args(argv)
         delta = parse_int_vector(args.delta, "delta")
         query = CoefficientQuery(delta=delta, shift=parse_shift(args.shift, len(delta)))
-        if args.split:
-            rationals = [r.rational() for _, r in coefficient_split(query).terms]
+        if args.split:  # Summand.render, nothing expanded
+            rationals = [s for _, s in coefficient_split(query).terms]
             marker = " R_k = "
         else:
             rationals = [coefficient_combined(query).rational]

@@ -303,14 +303,16 @@ class TestNormalize:
         expr = QExpr.build(
             2, QExpr.identity(2).parity, QExpr.identity(2).qexp, q_multinomial_symbols(2)
         )
-        assert normalize_to_rational(expr, 2).rational() == RationalQZ.one(2)
+        s = normalize_to_rational(expr, 2)
+        assert RationalQZ(s.cleared_numer(), s.denom) == RationalQZ.one(2)
 
     def test_single_pairing_step(self):
         poch = q_multinomial_symbols(2)
         poch[a1(2) + 1] += 1
         poch[a1(2)] -= 1
         expr = QExpr.build(2, QExpr.identity(2).parity, QExpr.identity(2).qexp, poch)
-        result = normalize_to_rational(expr, 2).rational()
+        s = normalize_to_rational(expr, 2)
+        result = RationalQZ(s.cleared_numer(), s.denom)
         expected = RationalQZ.make(ZqPoly(2, {(0, (0, 0)): 1, (1, (1, 0)): -1}), {})
         assert result == expected
 
@@ -367,7 +369,8 @@ class TestNormalize:
                 for i in range(n):
                     phi = phi * phi_prime_at_point(i, pt.alpha[i], evalset.grid)
                 expr = value / phi
-                r = normalize_to_rational(expr, n).rational()
+                s = normalize_to_rational(expr, n)
+                r = RationalQZ(s.cleared_numer(), s.denom)
                 # a large enough that all symbolic (q)_L indices are >= 0
                 for a in product((3, 4), repeat=n):
                     rn, rd = substitute_z(r, a)
@@ -401,7 +404,8 @@ class TestSummand:
             terms = [summand for _, summand in split.terms]
             for prev, summand in zip(terms[-1:] + terms[:-1], terms):
                 reference = expanded_rational(summand)
-                assert summand.rational() == reference, delta
+                rational = RationalQZ(summand.cleared_numer(), summand.denom)
+                assert rational == reference, delta
                 extra = prev.denom_counter()
                 assert summand.cleared_numer(extra) == reference.cleared_numer(extra), delta
 
