@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import InternalInconsistency, UsageError
-from .exactalg import RationalQZ, Summand, ZqPoly
+from .exactalg import RationalQZ, Summand
 from .latticepoints import (
     EvaluationPoint,
     best_shift,
@@ -100,7 +100,7 @@ def coefficient_split(query: CoefficientQuery) -> SplitResult:
 def combine_sum(terms: Sequence[Summand], n: int) -> RationalQZ:
     """Exact sum over the least common multiple of the atom denominators.
 
-    Each summand enters ``ZqPoly.sum_of`` as its sign and unit with
+    Each summand enters ``RationalQZ.sum_of`` as its sign and unit with
     its numerator atoms and the LCM atoms it lacks, so atoms that several
     summands share, numerator atoms included, are multiplied in once.
     """
@@ -108,8 +108,7 @@ def combine_sum(terms: Sequence[Summand], n: int) -> RationalQZ:
     for t in terms:
         for atom, mult in t.denom:
             lcm[atom] = max(lcm[atom], mult)
-    total = ZqPoly.sum_of(n, [t.cleared(lcm - t.denom_counter()) for t in terms])
-    return RationalQZ.make(total, lcm)
+    return RationalQZ.sum_of(n, [t.cleared(lcm - t.denom_counter()) for t in terms], lcm)
 
 
 def combine(split: SplitResult) -> CombinedResult:

@@ -10,11 +10,11 @@ Four sparse representations, all immutable in practice:
 * ``ZqPoly`` -- integer polynomial in q and z_1..z_n, Laurent exponents
   allowed (z_i stands for q^{a_i}).  Each exponent vector is packed into one
   int key with a 16-bit field per variable, so multiplying by a monomial adds
-  one int to every key; division by an atom 1 - m is a single pass that sums
-  coefficients along the lines of the exponent lattice in the direction of m.
-  The packing is private: the constructor and ``items()`` take and give
-  ((qexp, zexp), coeff) pairs.  ``ZqPoly.sum_of``, the one summation kernel,
-  factors out the atom most terms share and multiplies by it once, in place;
+  one int to every key.  The packing is private: the constructor and
+  ``items()`` take and give ((qexp, zexp), coeff) pairs.  Sums, atom products
+  and atom quotients run in row form (``_Rows``): one Kronecker int per
+  z-monomial, so 1 - m moves whole rows, and an exact quotient is a running
+  sum along the z-lines of m, certified by a digit-range check;
 * ``RationalQZ`` -- a ZqPoly numerator over a multiset of denominator
   atoms, never expanded.  Its sign and unit monomial are split off only
   when it is written (``render`` and ``cli.formula_json``);
@@ -39,8 +39,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import compress, repeat
-from operator import add, lshift, mul, or_
+from itertools import chain, compress, repeat
+from operator import add, floordiv, itemgetter, lshift, mul, or_, sub
 from struct import Struct, unpack
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -172,8 +172,8 @@ def _times_one_minus(terms: dict[int, int], off: int, shift: int = 0) -> None:
     Every product of binomials at concrete a is built here: the oracle's
     expansion and the verify-side specialization (``substitute_z`` and the
     q-Pochhammer products and q-multinomial of ``qpochhammer``).  The
-    engine's R never touches it; ZqPoly multiplies by ``_times_atom``, so
-    the check shares no kernel with what it checks."""
+    engine's R never touches it; ZqPoly multiplies in row form
+    (``_Rows._times``), so the check shares no kernel with what it checks."""
     if not off:
         raise ValueError("1 - q^0 is identically zero")
     get = terms.get
@@ -352,50 +352,153 @@ def _exps_offset(n: int, exps: Sequence[int]) -> int:
     return _offset(exps)
 
 
-def _times_atom(terms: dict[int, int], n: int, atom: Atom) -> None:
-    """Multiply terms by 1 - m in place.  Keys are visited away from the
-    direction of m, so each is read before anything is written to it."""
-    off = _exps_offset(n, atom)
-    _check_range(map(off.__add__, terms), n)
-    get = terms.get
-    for k in sorted(terms, reverse=off > 0):
-        t = k + off
-        s = get(t, 0) - terms[k]
-        if s:
-            terms[t] = s
+@cache
+def _line(n: int, atom: Atom) -> tuple[int, int, int]:
+    """z^v's z-key offset, and the bit offset and value of v's largest |v_i|."""
+    v = atom[1:] or (0,)  # n = 0: the atom is q-only and the field unused
+    i = max(range(len(v)), key=lambda j: abs(v[j]))
+    return (_exps_offset(n, atom) - atom[0]) >> _STRIDE, _STRIDE * i, v[i]
+
+
+def _add_rows(acc: dict[int, int], rows: Iterable[tuple[int, int]], op=add) -> None:
+    """acc[k] = op(acc[k], r) for (k, r) in rows, dropping rows that cancel."""
+    get = acc.get
+    for k, r in rows:
+        if s := op(get(k, 0), r):
+            acc[k] = s
         else:
-            del terms[t]
+            del acc[k]
 
 
-def _sum_into(acc: dict[int, int], n: int, pending: list) -> None:
-    """acc += sum of terms * prod(atom ** mult) over (terms, Counter) pairs."""
-    need = Counter(atom for _, atoms in pending for atom in atoms)
-    if not need:
-        get = acc.get
-        for terms, _ in pending:
-            for k, c in terms.items():
-                s = get(k, 0) + c
-                if s:
-                    acc[k] = s
-                else:
-                    del acc[k]
-        return
-    if len(pending) == 1:  # one pair: multiply its atoms in one by one
-        ((terms, atoms),) = pending
-        inner, factors, rest = [(terms, Counter())], atoms.elements(), []
-    else:
-        atom = max(need, key=lambda a: (need[a], a))
-        one = Counter({atom: 1})
-        inner = [(t, atoms - one) for t, atoms in pending if atom in atoms]
-        factors, rest = (atom,), [p for p in pending if atom not in p[1]]
-    part = {} if acc else acc  # an empty acc takes the partial sum in place
-    _sum_into(part, n, inner)
-    for atom in factors:
-        _times_atom(part, n, atom)
-    if part is not acc:
-        _sum_into(acc, n, [(part, Counter())])
-    del part  # free the partial before summing the rest
-    _sum_into(acc, n, rest)
+class _Rows:
+    """A ZqPoly as packed z-key (``_layout(n - 1)``) -> the key's q-polynomial
+    in QPoly's Kronecker form sum_e c_e 2**(width (e - low)), one int."""
+
+    __slots__ = ("n", "width", "low", "rows")
+
+    def __init__(self, n: int, terms: Iterable[tuple["ZqPoly", Mapping[Atom, int]]]):
+        """The rows of ``ZqPoly.sum_of(n, terms)``.  No partial sum or product
+        has L1 norm above sum L1(poly) 2**(sum mult) < 2**(width-2) or a
+        q-exponent below low: a poly's least, plus t * mult per atom with t < 0."""
+        pending, bound, lows = [], 0, []
+        for p, atoms in terms:
+            if p.n != n:
+                raise DimensionMismatch("z-variable counts differ")
+            pending.append((p._terms, atoms := +Counter(atoms)))
+            bound += sum(map(abs, p._terms.values())) << sum(atoms.values())
+            dip = sum(min(0, atom[0]) * m for atom, m in atoms.items())
+            lows.append(min(map(_FIELD.__and__, p._terms), default=_FIELD) - _BIAS + dip)
+        self.n, self.low, self.rows = n, min(lows, default=0), {}
+        self.width = w = 64 * ((bound.bit_length() + 65) // 64)
+        low = _BIAS + self.low
+        for i, (terms, atoms) in enumerate(pending):
+            pending[i] = {}, atoms
+            encoded = ((k >> _STRIDE, c << w * ((k & _FIELD) - low)) for k, c in terms.items())
+            _add_rows(pending[i][0], encoded)
+        self._sum_into(self.rows, pending)
+
+    def _sum_into(self, acc: dict[int, int], pending: list) -> None:
+        """acc += sum of rows * prod(atom ** mult) over (rows, Counter) pairs,
+        each this sum's own to change.  Multiplies late: the atom most pairs
+        need (ties to the largest) goes into their partial sum once."""
+        if len(pending) == 1:  # one pair: multiply its atoms in one by one
+            ((rows, atoms),) = pending
+            for atom in atoms.elements():
+                self._times(rows, atom)
+            _add_rows(acc, rows.items())
+            return
+        need = Counter(chain.from_iterable(map(itemgetter(1), pending)))
+        if not need:
+            for rows, _ in pending:
+                _add_rows(acc, rows.items())
+            return
+        atom = max(zip(need.values(), need))[1]
+        rest = [p for p in pending if atom not in p[1]]
+        inner = [p for p in pending if atom in p[1]]
+        for _, atoms in inner:
+            atoms[atom] -= 1
+            if not atoms[atom]:
+                del atoms[atom]
+        part = {} if acc else acc  # an empty acc takes the partial sum in place
+        self._sum_into(part, inner)
+        self._times(part, atom)
+        if part is not acc:
+            _add_rows(acc, part.items())
+        del part  # free the partial before summing the rest
+        self._sum_into(acc, rest)
+
+    def _times(self, rows: dict[int, int], atom: Atom) -> None:
+        """Multiply rows by 1 - q^t z^v in place: row k + v less row k
+        shifted by t slots, exact for t < 0 too, as none falls below low."""
+        zoff, bits = _line(self.n, atom)[0], atom[0] * self.width
+        _check_range(keys := list(map(zoff.__add__, rows)), self.n - 1)
+        move = bits.__rlshift__ if bits >= 0 else (-bits).__rrshift__
+        _add_rows(rows, list(zip(keys, map(move, rows.values()))), sub)
+
+    def divide(self, atom: Atom) -> bool:
+        """Divide by the atom 1 - m in place if the quotient is a polynomial,
+        else return False.  ``_quotient`` gives g with f = (1 - m) g as ints;
+        with g's digits in [-2**(w-2), 2**(w-2)) like f's, no slot carries,
+        so that holds as polynomials.  Else g is redone at twice the width."""
+        while (quo := self._quotient(atom)) is not None:
+            w = self.width
+            top = (max(map(int.bit_length, quo.values()), default=0) // w + 1) * w
+            bias = int.from_bytes((bytes(w // 8 - 1) + b"@") * (top // w), "little")
+            if not any((x := r + bias) & bias << 1 or x >> top for r in quo.values()):
+                self.rows = quo
+                return True
+            self.width = 2 * w
+            self.rows = {k: _pack_q(_unpack_q(r, w).terms, 0, 2 * w) for k, r in self.rows.items()}
+        return False
+
+    def _quotient(self, atom: Atom) -> Optional[dict[int, int]]:
+        """Rows g with self = (1 - q^t z^v) g as ints, or None if none exist:
+        for v = 0 an exact division of each row by 2**(|t| width) - 1, else a
+        running sum g_k = f_k + q^t g_(k-v) along each line k + Z v of z-keys
+        (for t < 0 run back on 1 - m = -m (1 - 1/m)) whose value past the end
+        is the remainder.  A line is named by its key at position 0, the field
+        where |v| is largest floor divided by v there: key and step
+        differences stay below 2**14 + (2**14 + 2**13) < 2**16, so no field
+        carries and two lines never share a name."""
+        (zoff, shift, step), t = _line(self.n, atom), atom[0]
+        rows, s, out = self.rows, abs(t) * self.width, {}
+        if not zoff:
+            for k, r in rows.items():
+                out[k], rem = divmod(r << s if t < 0 else -r, (1 << s) - 1)
+                if rem:
+                    return None
+            return out
+        walk = zoff if t >= 0 else -zoff  # the key step along a walk
+        keys = sorted(rows, reverse=walk < 0)
+        names = [k - (k >> shift & _FIELD) // step * zoff for k in keys]
+        last, get = dict(zip(names, keys)), rows.get  # each line's last key
+        for name, first in zip(names, keys):
+            if (end := last.pop(name, None)) is None:  # a line already walked
+                continue
+            acc = 0
+            for k in range(first, end + walk, walk):
+                if acc := get(k, 0) + (acc << s):
+                    out[k] = acc
+            if acc:
+                return None
+        return out if t >= 0 else {k + walk: -(g << s) for k, g in out.items()}
+
+    def poly(self) -> "ZqPoly":
+        """The rows decoded by one ``_unpack_q`` of one int, each row (biased
+        as in ``divide``) in its own block; OverflowError past the q-range."""
+        w, low, rows = self.width, self.low, self.rows
+        top = max(map(int.bit_length, rows.values()), default=0) // w + 1
+        block = (bytes(w // 8 - 1) + b"@") * top
+        biased = map(int.from_bytes(block, "little").__add__, rows.values())
+        raw = b"".join(map(int.to_bytes, biased, repeat(len(block)), repeat("little")))
+        packed = int.from_bytes(raw, "little") - int.from_bytes(block * len(rows), "little")
+        digits = _unpack_q(packed, w).terms
+        slots = [e % top for e in digits]
+        if slots and not -_BIAS <= low + min(slots) <= low + max(slots) < _BIAS:
+            raise OverflowError(f"exponent outside [{-_BIAS}, {_BIAS})")
+        bases = [(z << _STRIDE) + _BIAS + low for z in rows]
+        keys = map(add, map(bases.__getitem__, map(floordiv, digits, repeat(top))), slots)
+        return ZqPoly._of(self.n, dict(zip(keys, digits.values())))
 
 
 class ZqPoly:
@@ -403,8 +506,9 @@ class ZqPoly:
 
     Terms are stored as packed exponent key -> nonzero integer coefficient;
     the constructor and items() speak ((qexp, zexp-tuple), coeff).
-    Exponents must lie in [-8192, 8192); an operation whose result leaves
-    that range raises OverflowError.
+    Exponents must lie in [-8192, 8192): an atom product whose z-exponents
+    leave that range raises OverflowError at once, a q-exponent when the
+    row form is decoded.
     """
 
     __slots__ = ("n", "_terms")
@@ -462,23 +566,9 @@ class ZqPoly:
         return ZqPoly.sum_of(self.n, ((self, {}), (other, {})))
 
     @staticmethod
-    def sum_of(
-        n: int, terms: Iterable[tuple["ZqPoly", Mapping[Atom, int]]]
-    ) -> "ZqPoly":
-        """Sum of poly * prod(atom ** mult) over (poly, {atom: mult}) pairs.
-
-        Multiplies late: the atom that the most pairs still need (ties to the
-        largest atom) is factored out of their partial sum and
-        multiplied in once, before the other pairs are added.
-        """
-        pending = []
-        for p, atoms in terms:
-            if p.n != n:
-                raise DimensionMismatch("z-variable counts differ")
-            pending.append((p._terms, +Counter(atoms)))
-        acc: dict[int, int] = {}
-        _sum_into(acc, n, pending)
-        return ZqPoly._of(n, acc)
+    def sum_of(n: int, terms: Iterable[tuple["ZqPoly", Mapping[Atom, int]]]) -> "ZqPoly":
+        """Sum of poly * prod(atom ** mult) over (poly, {atom: mult}) pairs."""
+        return _Rows(n, terms).poly()
 
     def __neg__(self) -> "ZqPoly":
         return ZqPoly._of(self.n, {k: -c for k, c in self._terms.items()})
@@ -498,44 +588,12 @@ class ZqPoly:
 
     def mul_atom(self, atom: Atom) -> "ZqPoly":
         """Multiply by the atom."""
-        d = dict(self._terms)
-        _times_atom(d, self.n, atom)
-        return ZqPoly._of(self.n, d)
+        return ZqPoly.sum_of(self.n, [(self, {atom: 1})])
 
     def div_atom(self, atom: Atom) -> Optional["ZqPoly"]:
-        """Exact quotient by 1 - m, m = q^b z^v, or None when not divisible.
-
-        The exponent lattice splits into lines t + Z*(b, v), and 1 - m acts
-        on each line on its own.  So self = (1 - m) * g exactly when self's
-        coefficients sum to zero on every line, and g's coefficient at each
-        position is the running sum of self's coefficients up to it.
-
-        A key's position is its field value where |m| is largest, floor
-        divided by m's exponent there; its line is named by the key at
-        position 0.  Two valid keys get the same name only when they lie on
-        one line, because the field-wise differences between them and the
-        steps along m that relate their names stay below
-        2**14 + (2**14 + 2**13) < 2**16, so no field can carry.
-        """
-        off = _exps_offset(self.n, atom)
-        i = max(range(len(atom)), key=lambda j: abs(atom[j]))
-        shift, step = _STRIDE * i, atom[i]
-        terms = self._terms
-        names = [k - ((k >> shift) & _FIELD) // step * off for k in terms]
-        sums: dict[int, int] = {}
-        for name, c in zip(names, terms.values()):
-            sums[name] = sums.get(name, 0) + c
-        if any(sums.values()):
-            return None
-        # keys ascend along each line when off > 0 and descend otherwise
-        quo: dict[int, int] = {}
-        last: dict[int, tuple[int, int]] = {}
-        for k, name in sorted(zip(terms, names), reverse=off < 0):
-            prev, run = last.get(name, (k, 0))
-            if run:
-                quo.update(dict.fromkeys(range(prev, k, off), run))
-            last[name] = (k, run + terms[k])
-        return ZqPoly._of(self.n, quo)
+        """Exact quotient by the atom 1 - m, or None when not divisible."""
+        rows = _Rows(self.n, [(self, {})])
+        return rows.poly() if rows.divide(atom) else None
 
     def extract_unit(self) -> tuple["ZqPoly", AffineForm, int]:
         """Factor self = sign * monomial * reduced with the reduced polynomial
@@ -600,23 +658,22 @@ class RationalQZ:
 
     @staticmethod
     def make(numer: ZqPoly, denom: Mapping[Atom, int] | Counter) -> "RationalQZ":
-        """Canonical constructor: cancels atoms into the numerator by exact
-        trial division."""
-        if numer.is_zero():
-            return RationalQZ.zero(numer.n)
-        remaining: Counter = Counter()
+        """Canonical constructor: cancels atoms into numer by trial division."""
+        return RationalQZ.sum_of(numer.n, [(numer, {})], denom)
+
+    @staticmethod
+    def sum_of(n: int, terms: Iterable, denom: Mapping[Atom, int]) -> "RationalQZ":
+        """make(ZqPoly.sum_of(n, terms), denom), the sum never decoded."""
+        rows, remaining = _Rows(n, terms), Counter()
+        if not rows.rows:
+            return RationalQZ.zero(n)
         for atom, mult in denom.items():
             if mult < 0:
                 raise ValueError("negative atom multiplicity")
-            while mult:
-                quo = numer.div_atom(atom)
-                if quo is None:
-                    break
-                numer = quo
+            while mult and rows.divide(atom):
                 mult -= 1
-            if mult:
-                remaining[atom] = mult
-        return RationalQZ(numer, _atom_tuple(remaining))
+            remaining[atom] = mult
+        return RationalQZ(rows.poly(), _atom_tuple(+remaining))
 
     def cleared_numer(self, extra_denom: Mapping[Atom, int] = ()) -> ZqPoly:
         """numer * prod(extra atoms) as a single ZqPoly."""

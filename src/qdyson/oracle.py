@@ -18,6 +18,7 @@ import time
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import prod
 
@@ -68,11 +69,12 @@ class _Expansion(Mapping):
 MAX_EXPANSION_BYTES = 2**29
 
 
-def _expansion_width(a: Sequence[int]) -> int:
+@cache  # verify_query asks once per delta
+def _expansion_width(a: tuple[int, ...], limit: int) -> int:
     """The q-slot width in bits of expand_qdyson_product(a), after checking
-    the predicted size of the packed product against MAX_EXPANSION_BYTES:
-    keys (each x-exponent lies in a box of side (n-2) a_i + sum(a) + 1, and
-    the exponents sum to 0) times q-slots (the top q-degree plus one) times
+    the predicted size of the packed product against limit: keys (each
+    x-exponent lies in a box of side (n-2) a_i + sum(a) + 1, and the
+    exponents sum to 0) times q-slots (the top q-degree plus one) times
     width."""
     n = len(a)
     width = 64 * (((n - 1) * sum(a) + 65) // 64)
@@ -81,10 +83,10 @@ def _expansion_width(a: Sequence[int]) -> int:
     pairs = combinations(a, 2)
     slots = 1 + sum(x * (x - 1) // 2 + y * (y + 1) // 2 for x, y in pairs)
     size = keys * slots * width // 8
-    if size > MAX_EXPANSION_BYTES:
+    if size > limit:
         raise UsageError(
             f"a = {list(a)} predicts a {size:,}-byte oracle expansion, "
-            f"more than the {MAX_EXPANSION_BYTES:,} bytes this library builds"
+            f"more than the {limit:,} bytes this library builds"
         )
     return width
 
@@ -110,7 +112,7 @@ def expand_qdyson_product(a: Sequence[int]) -> Mapping[tuple[int, ...], QPoly]:
     # |exponent of x_i| is at most the number of binomials that touch x_i;
     # _offset raises OverflowError if that leaves the packed field range
     _offset([(n - 2) * x + sum(a) for x in a])
-    width = _expansion_width(a)
+    width = _expansion_width(tuple(a), MAX_EXPANSION_BYTES)
     out = {_layout(n - 1).bias: 1}
     for i in range(n):
         for j in range(i + 1, n):
@@ -169,7 +171,7 @@ def verify_query(
     a = tuple(a)
     if any(x < 1 for x in a):
         raise ValueError("the symbolic engine requires all a_i >= 1")
-    _expansion_width(a)  # fail before (q)_{sum a} or the expansion is built
+    _expansion_width(a, MAX_EXPANSION_BYTES)  # fail before (q)_{sum a} or the expansion
     start = time.perf_counter()
     try:
         if rational is None:

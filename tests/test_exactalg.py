@@ -185,6 +185,16 @@ class TestZqPoly:
             formula_from_json(obj)
 
 
+def times_atom(poly, atom):
+    """poly * (1 - q^t z^v) as {(qexp, zexp): coeff}, term by term on
+    tuples: a reference that shares no code with ZqPoly's row kernels."""
+    t, v = atom[0], tuple(atom[1:])
+    out = Counter(dict(poly.items()))
+    for (qe, ze), c in poly.items():
+        out[qe + t, tuple(x + y for x, y in zip(ze, v))] -= c
+    return {key: c for key, c in out.items() if c}
+
+
 @st.composite
 def poly_and_atom(draw):
     """A sparse Laurent ZqPoly in n <= 3 z-variables and an atom whose
@@ -206,7 +216,9 @@ class TestPackedZqPoly:
     @given(poly_and_atom())
     def test_product_divides(self, pa):
         poly, atom = pa
+        assert dict(poly.mul_atom(atom).items()) == times_atom(poly, atom)
         assert poly.mul_atom(atom).div_atom(atom) == poly
+        assert ZqPoly(poly.n, times_atom(poly, atom)).div_atom(atom) == poly
 
     @settings(max_examples=150, deadline=None)
     @given(poly_and_atom(), st.integers(1, 3), st.booleans())
@@ -220,6 +232,7 @@ class TestPackedZqPoly:
         assert quo is not None or not divisible
         if quo is not None:
             assert quo.mul_atom(atom) == poly
+            assert times_atom(quo, atom) == dict(poly.items())
 
     @settings(max_examples=150, deadline=None)
     @given(poly_and_atom(), st.integers(-6, 6), st.lists(st.integers(-6, 6), min_size=3, max_size=3))
@@ -263,6 +276,57 @@ class TestPackedZqPoly:
             '{"q":3,"z":[1,0],"c":-2},{"q":5,"z":[0,3],"c":2}],"denom":['
             '{"q":0,"z":[1,-1],"mult":2},{"q":2,"z":[0,0],"mult":1}]}\n'
         )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from(["q", "z", "z, t < 0"]),
+        st.data(),
+        st.booleans(),
+    )
+    def test_div_atom_matches_reference(self, n, kind, data, divisible):
+        """div_atom against the tuple-keyed product, for q-only atoms and
+        z-atoms of either sign of t, on multiples and on non-multiples."""
+        small = st.integers(-4, 4)
+        exps = st.tuples(small, st.tuples(*[small] * n))
+        coeffs = st.integers(-2**70, 2**70).filter(bool) | st.integers(-3, 3).filter(bool)
+        g = ZqPoly(n, data.draw(st.dictionaries(exps, coeffs, max_size=8)))
+        t = data.draw(st.integers(-3, 3).filter(bool))
+        v = (0,) * n if kind == "q" else data.draw(
+            st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+        )
+        atom = Atom(-abs(t) if kind == "z, t < 0" else t, v)
+        product = times_atom(g, atom)
+        if divisible:
+            assert ZqPoly(n, product).div_atom(atom) == g
+        else:
+            spoil = data.draw(exps)
+            product[spoil] = product.get(spoil, 0) + data.draw(coeffs)
+            assert ZqPoly(n, product).div_atom(atom) is None
+
+    @pytest.mark.parametrize("v, k", [((0,), 256), ((1,), 16)])
+    def test_quotient_past_the_first_width(self, v, k):
+        # (1 - m^k)^20 / (1 - m)^20 = (1 + m + .. + m^(k-1))^20 has
+        # coefficients past 2**62 (151 bits for k = 256, 75 for k = 16), so
+        # quotients fail the range check at 64 bits and are redone wider
+        m, power = Atom(1, v), Atom(k, tuple(k * x for x in v))
+        numer = ZqPoly.sum_of(1, [(ZqPoly.one(1), {power: 20})])
+        r = RationalQZ.make(numer, {m: 20})
+        geometric = QPoly({j: 1 for j in range(k)})
+        expected = QPoly.one()
+        for _ in range(20):
+            expected = expected * geometric
+        assert r.denom == ()
+        on_the_diagonal = {(e, tuple(e * x for x in v)): c for e, c in expected.items()}
+        assert dict(r.numer.items()) == on_the_diagonal
+        assert max(expected.terms.values()).bit_length() > 62
+
+    def test_no_z_variables(self):
+        p = ZqPoly(0, {(0, ()): 1, (1, ()): -1})
+        q = Atom(1, ())
+        assert dict(p.mul_atom(q).items()) == times_atom(p, q)
+        assert p.div_atom(q) == ZqPoly.one(0)
+        assert RationalQZ.make(p, {q: 2}) == RationalQZ(ZqPoly.one(0), ((q, 1),))
 
     def test_far_apart_lines_stay_apart(self):
         # The keys of q^-4096 z2^-1 and 1 differ by -4096 steps of q z1^16 as
@@ -327,7 +391,7 @@ class TestSumOf:
         for poly, atoms in pairs:
             for atom, mult in atoms.items():
                 for _ in range(mult):
-                    poly = poly.mul_atom(atom)
+                    poly = ZqPoly(n, times_atom(poly, atom))
             for key, c in poly.items():
                 ref[key] += c
         expected = {key: c for key, c in ref.items() if c}
