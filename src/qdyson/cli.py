@@ -263,7 +263,7 @@ def _cross_check_failure(
     return None
 
 
-def cmd_coeff(args) -> int:
+def cmd_coeff(args) -> tuple[str, int]:
     delta = parse_int_vector(args.delta, "delta")
     shift = parse_shift(args.shift, len(delta))
     note = ""
@@ -276,8 +276,7 @@ def cmd_coeff(args) -> int:
     if args.cross_check_shifts and sum(delta) == 0:
         failed = _cross_check_failure(query, split, result)
         if failed is not None:
-            _emit(f"shift cross-check failed under shift {list(failed)}\n", args.out)
-            return EXIT_MISMATCH
+            return f"shift cross-check failed under shift {list(failed)}\n", EXIT_MISMATCH
     if args.split:
         if args.format == "json":
             body = dumps_canonical(split_json(split))
@@ -293,18 +292,16 @@ def cmd_coeff(args) -> int:
         body = _combined_body(result, args.format)
         if args.format != "json":
             body = note + body
-    _emit(body, args.out)
-    return EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_constant_term(args) -> int:
+def cmd_constant_term(args) -> tuple[str, int]:
     if args.n < 1:
         raise UsageError("--n must be a positive integer")
-    _emit(_combined_body(constant_term_identity(args.n), args.format), args.out)
-    return EXIT_OK
+    return _combined_body(constant_term_identity(args.n), args.format), EXIT_OK
 
 
-def cmd_best_shift(args) -> int:
+def cmd_best_shift(args) -> tuple[str, int]:
     delta = parse_int_vector(args.delta, "delta")
     if sum(delta) != 0:
         raise UsageError("--delta must sum to zero for best-shift")
@@ -315,11 +312,10 @@ def cmd_best_shift(args) -> int:
         )
     else:
         body = f"delta: {list(delta)}\nshift: {list(shift)}\nsize: {size}\n"
-    _emit(body, args.out)
-    return EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     delta = parse_int_vector(args.delta, "delta")
     a = parse_int_vector(args.a, "a")
     if len(a) != len(delta):
@@ -340,11 +336,10 @@ def cmd_verify(args) -> int:
         if report.error:
             lines.append(f"error: {report.error}")
         body = "\n".join(lines) + "\n"
-    _emit(body, args.out)
-    return EXIT_OK if report.match else EXIT_MISMATCH
+    return body, EXIT_OK if report.match else EXIT_MISMATCH
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, int]:
     n_range = parse_int_vector(args.n, "n")
     reports = sweep(
         SweepConfig(n_range=n_range, a_max=args.a_max, delta_budget=args.delta_budget)
@@ -366,11 +361,10 @@ def cmd_sweep(args) -> int:
         ]
         lines.append(f"total: {len(reports)}  failures: {len(failures)}")
         body = "\n".join(lines) + "\n"
-    _emit(body, args.out)
-    return EXIT_OK if not failures else EXIT_MISMATCH
+    return body, EXIT_OK if not failures else EXIT_MISMATCH
 
 
-def cmd_article(args) -> int:
+def cmd_article(args) -> tuple[str, int]:
     delta = parse_int_vector(args.delta, "delta")
     n = len(delta)
     if sum(delta) != 0:
@@ -404,11 +398,8 @@ def cmd_article(args) -> int:
             f"  a = {list(sample)}: coefficient = {rep.oracle_coeff}  [{status}]"
         )
         if not rep.match:
-            _emit("\n".join(lines) + "\n", args.out)
-            return EXIT_MISMATCH
-    body = "\n".join(lines) + "\n"
-    _emit(body, args.out)
-    return EXIT_OK
+            break
+    return "\n".join(lines) + "\n", EXIT_OK if rep.match else EXIT_MISMATCH
 
 
 _COMMANDS = {
@@ -422,11 +413,14 @@ _COMMANDS = {
 
 
 def run_command(argv: Sequence[str]) -> int:
-    """Dispatch one CLI invocation; returns the exit code."""
+    """Dispatch one CLI invocation, write the command's text to stdout or
+    --out, and return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        body, code = _COMMANDS[args.command](args)
+        _emit(body, args.out)
+        return code
     except (UsageError, OverflowError) as exc:  # or an exponent past the packed range
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

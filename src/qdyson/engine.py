@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import InternalInconsistency, UsageError
-from .exactalg import RationalQZ, Summand
+from .exactalg import RationalQZ, Summand, ZqPoly
 from .latticepoints import (
     EvaluationPoint,
     best_shift,
@@ -137,10 +137,9 @@ def constant_term_identity(n: int) -> CombinedResult:
 
 
 def equivalent(r1: RationalQZ, r2: RationalQZ) -> bool:
-    """Exact algebraic equality of two factored rational functions, by
-    clearing each against the other's denominator atoms."""
+    """Exact algebraic equality of two factored rational functions: one
+    row-form sum of each numerator times the other's denominator atoms."""
     if r1.n != r2.n:
         raise ValueError("rational functions over different variable counts")
-    lhs = r1.cleared_numer(r2.denom_counter())
-    rhs = r2.cleared_numer(r1.denom_counter())
-    return lhs == rhs
+    cross = [(r1.numer, dict(r2.denom)), (-r2.numer, dict(r1.denom))]
+    return ZqPoly.sum_of(r1.n, cross).is_zero()

@@ -101,8 +101,6 @@ class QPoly:
 
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, int):
-            if other == 0:
-                return QPoly()
             return QPoly({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, QPoly):
             return NotImplemented
@@ -716,8 +714,7 @@ class Summand:
         """(sign * unit, numerator atoms plus extra atoms): a ``sum_of`` pair."""
         atoms = Counter(dict(self.numer))
         atoms.update(extra_denom)
-        unit = ZqPoly.one(self.n).mul_monomial(self.unit, self.sign)
-        return unit, atoms
+        return ZqPoly(self.n, [((self.unit[0], self.unit[1:]), self.sign)]), atoms
 
     def cleared_numer(self, extra_denom: Mapping[Atom, int] = ()) -> ZqPoly:
         """sign * unit * prod(numer atoms) * prod(extra atoms) as one ZqPoly."""

@@ -18,7 +18,6 @@ import time
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, product
 from math import prod
 
@@ -69,12 +68,11 @@ class _Expansion(Mapping):
 MAX_EXPANSION_BYTES = 2**29
 
 
-@cache  # verify_query asks once per delta
-def _expansion_width(a: tuple[int, ...], limit: int) -> int:
+def _expansion_width(a: Sequence[int]) -> int:
     """The q-slot width in bits of expand_qdyson_product(a), after checking
-    the predicted size of the packed product against limit: keys (each
-    x-exponent lies in a box of side (n-2) a_i + sum(a) + 1, and the
-    exponents sum to 0) times q-slots (the top q-degree plus one) times
+    the predicted size of the packed product against MAX_EXPANSION_BYTES:
+    keys (each x-exponent lies in a box of side (n-2) a_i + sum(a) + 1, and
+    the exponents sum to 0) times q-slots (the top q-degree plus one) times
     width."""
     n = len(a)
     width = 64 * (((n - 1) * sum(a) + 65) // 64)
@@ -83,10 +81,10 @@ def _expansion_width(a: tuple[int, ...], limit: int) -> int:
     pairs = combinations(a, 2)
     slots = 1 + sum(x * (x - 1) // 2 + y * (y + 1) // 2 for x, y in pairs)
     size = keys * slots * width // 8
-    if size > limit:
+    if size > MAX_EXPANSION_BYTES:
         raise UsageError(
             f"a = {list(a)} predicts a {size:,}-byte oracle expansion, "
-            f"more than the {limit:,} bytes this library builds"
+            f"more than the {MAX_EXPANSION_BYTES:,} bytes this library builds"
         )
     return width
 
@@ -112,7 +110,7 @@ def expand_qdyson_product(a: Sequence[int]) -> Mapping[tuple[int, ...], QPoly]:
     # |exponent of x_i| is at most the number of binomials that touch x_i;
     # _offset raises OverflowError if that leaves the packed field range
     _offset([(n - 2) * x + sum(a) for x in a])
-    width = _expansion_width(tuple(a), MAX_EXPANSION_BYTES)
+    width = _expansion_width(a)
     out = {_layout(n - 1).bias: 1}
     for i in range(n):
         for j in range(i + 1, n):
@@ -171,7 +169,8 @@ def verify_query(
     a = tuple(a)
     if any(x < 1 for x in a):
         raise ValueError("the symbolic engine requires all a_i >= 1")
-    _expansion_width(a, MAX_EXPANSION_BYTES)  # fail before (q)_{sum a} or the expansion
+    if expansion is None:  # an expansion passed in was sized when it was built
+        _expansion_width(a)  # fail before (q)_{sum a} or the expansion
     start = time.perf_counter()
     try:
         if rational is None:
@@ -261,8 +260,9 @@ class SweepConfig:
         object.__setattr__(self, "n_range", tuple(sorted(set(self.n_range))))
         if min(self.n_range) < 1 or self.a_max < 1 or self.delta_budget < 0:
             raise UsageError("sweep needs n >= 1, a_max >= 1 and delta_budget >= 0")
-        if max(self.n_range) > 4 or self.a_max > 3:
-            raise UsageError("sweep bounds exceed desk scale (n <= 4, a <= 3)")
+        # a budget of 8 takes minutes at n = 4, a = 1; sum |delta_i| is even
+        if max(self.n_range) > 4 or self.a_max > 3 or self.delta_budget > 6:
+            raise UsageError("sweep bounds exceed desk scale (n <= 4, a <= 3, budget <= 6)")
 
 
 def zero_sum_deltas(n: int, budget: int) -> list[tuple[int, ...]]:

@@ -307,13 +307,9 @@ def q_multinomial_symbols(n: int) -> Counter:
 
 
 def _new_index(poch: dict, v: AffineForm, exp: int) -> None:
-    """Count a (q)_L factor as it is created, with ``QExpr.build``'s check
-    that L is generically >= 0; (q)_0 = 1 is dropped."""
+    """Count a (q)_L factor as it is created; (q)_0 = 1 is dropped.  Each
+    L that ``_window_into`` passes is generically >= 0 by its branch."""
     if any(v):
-        if v.generic_sign() != 1:
-            raise InternalInconsistency(
-                f"(q)_L with generically non-positive index L = {v}"
-            )
         poch[v] = poch.get(v, 0) + exp
 
 
@@ -322,14 +318,15 @@ def _window_into(e, f, top, parity: list, twice: list, poch: dict) -> bool:
     accumulators as ``rewrite_pochhammer`` rewrites it; False when the
     window generically holds 1 - q^0, so the value is zero."""
     se = e.generic_sign()
-    if se == 1:
+    if se == 1:  # e - 1 and top = e - 1 + f are generically >= 0, as e and f are > 0
         _new_index(poch, top, 1)
         _new_index(poch, e - 1, -1)
         return True
     st = top.generic_sign()
     if st == -1:
         # every t in [e, top] is < 0: the sign (-1)^f, the q-power
-        # f*e + binom(f, 2) = f*(2e + f - 1)/2 and (q)_{-e} / (q)_{-e-f}
+        # f*e + binom(f, 2) = f*(2e + f - 1)/2 and (q)_{-e} / (q)_{-e-f},
+        # both indices generically >= 0, as top < 0 and e = top + 1 - f
         parity[:] = map(add, parity, f)
         _add_product(twice, f, e + top)
         _new_index(poch, -e, 1)

@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from qdyson.engine import (
     CoefficientQuery,
@@ -34,12 +35,55 @@ from qdyson.oracle import (
 )
 from qdyson.qpochhammer import (
     GridSpec,
+    _window_into,
     phi_prime_at_point,
+    phi_prime_flat,
     q_pochhammer_numeric,
     rewrite_pochhammer,
 )
-from qdyson.symforms import AffineForm
+from qdyson.symforms import AffineForm, QuadForm, _pairs
 from qdyson.errors import MixedSign
+
+
+def accumulators_at(a, parity, twice, poch):
+    """The engine's accumulators (-1)^parity q^(twice / 2) prod (q)_L^e,
+    with poch the (L, e) pairs, at a as (numerator, denominator); a
+    negative L is allowed only in the denominator, where 1/(q)_L = 0."""
+    sign = -1 if sum(map(mul, parity, (1, *a))) % 2 else 1
+    half = QuadForm(len(a), tuple(twice)).evaluate(a)
+    assert half.denominator == 1, (twice, a)
+    num, den = QPoly({int(half): sign}), QPoly.one()
+    for index, exp in poch:
+        length = index.evaluate(a)
+        if length < 0:
+            assert exp < 0, (index, a)
+            return QPoly(), QPoly.one()
+        for _ in range(abs(exp)):
+            if exp > 0:
+                num = num * q_pochhammer_numeric(1, length)
+            else:
+                den = den * q_pochhammer_numeric(1, length)
+    return num, den
+
+
+def check_window(e, f):
+    """``_window_into`` on (q^e)_f, f generically positive, against the
+    direct product at a in {1,2,3}^n; a window it calls zero must be.
+    Returns what ``_window_into`` returned, None if it could not classify."""
+    n = e.n
+    parity, twice, poch = [0] * (n + 1), [0] * len(_pairs(n)), {}
+    try:
+        nonzero = _window_into(e, f, e + f - 1, parity, twice, poch)
+    except MixedSign:
+        return None
+    for a in product((1, 2, 3), repeat=n):
+        direct = q_pochhammer_numeric(e.evaluate(a), f.evaluate(a))
+        if not nonzero:
+            assert direct.is_zero(), (e, f, a)
+        else:
+            value = accumulators_at(a, parity, twice, poch.items())
+            assert equal_as_rational(value, (direct, QPoly.one())), (e, f, a)
+    return nonzero
 
 
 def reference_formula_2m2_0_0() -> RationalQZ:
@@ -200,6 +244,10 @@ def test_criterion_7_phi_prime_and_rewrite():
                             QPoly({c + j: 1}) - QPoly({c + t: 1})
                         )
                 assert equal_as_rational((num, den), (direct, QPoly.one())), (d, c, j)
+                # the engine's flat phi' at the same point
+                flat = phi_prime_flat(0, AffineForm.const(1, c + j), grid)
+                value = accumulators_at((1,), *flat)
+                assert equal_as_rational(value, (direct, QPoly.one())), (d, c, j)
     # rewrite soundness at a in {1,2,3}^n, n <= 3, over sign-classifiable forms
     for n in (1, 2, 3):
         params = [AffineForm.param(n, i) for i in range(n)]
@@ -210,6 +258,8 @@ def test_criterion_7_phi_prime_and_rewrite():
         cases_f = params + [AffineForm.const(n, 2), AffineForm.const(n, 0)]
         for e in cases_e:
             for f in cases_f:
+                if f.generic_sign() == 1:  # the engine's windows
+                    check_window(e, f)
                 try:
                     expr = rewrite_pochhammer(e, f)
                 except MixedSign:
@@ -223,8 +273,12 @@ def test_criterion_7_phi_prime_and_rewrite():
                         assert equal_as_rational(
                             (num, den), (direct, QPoly.one())
                         ), (e, f, a)
+        # windows through 1 - q^0, which the cases above never reach
+        for f in params:
+            assert check_window(-params[0], f + params[0]) is False
     print("ACCEPTANCE 7 PASS: phi' exhaustive (d <= 8, shifts [-2,2]) and "
-          "rewrite rules sound at a in {1,2,3}^n, n <= 3")
+          "rewrite rules sound at a in {1,2,3}^n, n <= 3, for the reference "
+          "and the engine")
 
 
 def test_criterion_8_best_shift():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ from qdyson.engine import (
     equivalent,
 )
 from qdyson.exactalg import Atom, Summand
-from qdyson.oracle import zero_sum_deltas
+from qdyson.oracle import SweepConfig, zero_sum_deltas
 from qdyson.symforms import AffineForm
 
 
@@ -402,6 +403,14 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "usage error" in err
 
+    def test_delta_budget_past_desk_scale_fails_fast(self, capsys):
+        SweepConfig(n_range=(4,), a_max=3, delta_budget=6)  # the largest allowed
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sweep", "--n", "4", "--delta-budget", "7")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: sweep bounds exceed desk scale")
+
     def test_repeated_n_runs_once(self, capsys):
         totals = []
         for n_arg in ("2", "2,2"):
@@ -452,9 +461,49 @@ class TestOutFile:
         assert obj["denom"] and obj["numer"]
 
     @pytest.mark.parametrize("command", [
+        ("coeff", "--delta", "1,-1,0", "--cross-check-shifts"),
+        ("coeff", "--delta", "1,-1,0", "--split", "--format", "json"),
+        ("constant-term", "--n", "3", "--format", "latex"),
+        ("best-shift", "--delta", "2,-2,0"),
+        ("verify", "--delta", "1,-1", "--a", "2,1"),
+        ("sweep", "--n", "2", "--a-max", "2", "--delta-budget", "2"),
+        ("article", "--delta", "1,-1,0"),
+    ])
+    def test_out_gets_the_stdout_bytes(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, *command)
+        target = tmp_path / "out"
+        assert run(capsys, *command, "--out", str(target)) == (code, "", err)
+        assert (code, target.read_bytes()) == (EXIT_OK, out.encode())
+
+    def test_early_exits_write_their_partial_body(self, capsys, tmp_path, monkeypatch):
+        real = cli.verify_query
+        monkeypatch.setattr(cli, "equivalent", lambda r1, r2: False)
+        monkeypatch.setattr(
+            cli, "verify_query", lambda *a, **k: replace(real(*a, **k), match=False)
+        )
+        target = tmp_path / "out"
+        for command, last in (
+            (
+                ("coeff", "--delta", "1,-1,0", "--cross-check-shifts"),
+                "shift cross-check failed under shift [0, 0, 0]\n",
+            ),
+            (
+                ("article", "--delta", "1,-1,0"),
+                "\nVerification appendix:\n  a = [1, 1, 1]: coefficient = -1 - q  [MISMATCH]\n",
+            ),
+        ):
+            code, out, err = run(capsys, *command)
+            assert run(capsys, *command, "--out", str(target)) == (code, "", err)
+            assert (code, target.read_text()) == (EXIT_MISMATCH, out)
+            assert out.endswith(last)
+
+    @pytest.mark.parametrize("command", [
         ("coeff", "--delta", "1,-1"),
+        ("constant-term", "--n", "2"),
+        ("best-shift", "--delta", "1,-1"),
         ("article", "--delta", "1,-1"),
         ("verify", "--delta", "1,-1", "--a", "1,1"),
+        ("sweep", "--n", "2", "--a-max", "1", "--delta-budget", "0"),
     ])
     def test_unwritable_path_is_usage_error(self, capsys, tmp_path, command):
         for target, reason in (

@@ -154,6 +154,19 @@ class TestSizeGuard:
         with pytest.raises(UsageError, match=predicted):
             expand_qdyson_product((200, 200))
 
+    def test_each_expansion_is_sized_once(self, monkeypatch):
+        calls = []
+        real = oracle._expansion_width
+        monkeypatch.setattr(
+            oracle, "_expansion_width", lambda a: calls.append(tuple(a)) or real(a)
+        )
+        expansions = [expand_qdyson_product(a) for a in ((2, 1, 1), (1, 2, 1))]
+        assert calls == [(2, 1, 1), (1, 2, 1)]  # once per build
+        for delta in zero_sum_deltas(3, 2):
+            report = verify_query(delta, (2, 1, 1), expansion=expansions[0])
+            assert report.match, delta
+        assert len(calls) == 2  # none for an expansion passed in
+
     def test_verify_fails_before_the_q_multinomial(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("built before the size check")
