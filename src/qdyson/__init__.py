@@ -35,14 +35,12 @@ from .exactalg import (
     RationalQZ,
     Summand,
     ZqPoly,
-    equal_as_rational,
     substitute_z,
 )
 from .latticepoints import (
     EvaluationPoint,
     EvaluationSet,
     best_shift,
-    descent_count,
     enumerate_evaluation_set,
     evaluation_set_size,
 )
@@ -57,20 +55,9 @@ from .oracle import (
 )
 from .qpochhammer import (
     GridSpec,
-    QExpr,
-    evaluate_product_at_point,
-    normalize_to_rational,
-    phi_prime_at_point,
     q_multinomial_numeric,
     q_multinomial_symbols,
-    q_pochhammer_numeric,
-    rewrite_pochhammer,
 )
-from .symforms import (
-    AffineForm,
-    QuadForm,
-    parity_reduce,
-    quad_finalize,
-)
+from .symforms import AffineForm
 
 __version__ = "0.1.0"

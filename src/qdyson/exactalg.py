@@ -78,8 +78,6 @@ class QPoly:
         return sorted(self.terms.items())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = QPoly({0: other})
         if not isinstance(other, QPoly):
             return NotImplemented
         return self.terms == other.terms
@@ -108,11 +106,9 @@ class QPoly:
         if not f or not g:
             return QPoly()
         # each product coefficient sums at most min(len) products of two
-        # coefficients, so it is below 2**bound in magnitude; width leaves
-        # the two bits above bound that _unpack_q needs
-        bound = (min(len(f), len(g)) * max(map(abs, f.values()))
-                 * max(map(abs, g.values()))).bit_length()
-        width = 64 * ((bound + 65) // 64)
+        # coefficients, so it is at most bound in magnitude
+        bound = min(len(f), len(g)) * max(map(abs, f.values())) * max(map(abs, g.values()))
+        width = _slot_width(bound.bit_length())
         low_f, low_g = min(f), min(g)
         return _unpack_q(
             _pack_q(f, low_f, width) * _pack_q(g, low_g, width), width, low_f + low_g
@@ -134,6 +130,18 @@ class QPoly:
 # at low is the int sum_k c_k 2**(width * (k - low)).  width is a multiple of
 # 64 with every |c_k| <= 2**(width - 2), so each slot holds its digit exactly.
 _WORD_BIAS = (1 << 63).to_bytes(8, "little")
+
+
+def _slot_width(bits: int) -> int:
+    """The slot width for digits below 2**bits in magnitude: a multiple of 64
+    that leaves the two guard bits above them that _unpack_q needs."""
+    return 64 * ((bits + 65) // 64)
+
+
+def _slot_bias(width: int, slots: int) -> int:
+    """2**(width - 2) in each of slots width-bit slots: it makes every digit
+    in [-2**(width - 2), 2**(width - 2)) a nonnegative one below 2**(width - 1)."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"@") * slots, "little")
 
 
 def _pack_q(terms: Mapping[int, int], low: int, width: int) -> int:
@@ -387,7 +395,7 @@ class _Rows:
             dip = sum(min(0, atom[0]) * m for atom, m in atoms.items())
             lows.append(min(map(_FIELD.__and__, p._terms), default=_FIELD) - _BIAS + dip)
         self.n, self.low, self.rows = n, min(lows, default=0), {}
-        self.width = w = 64 * ((bound.bit_length() + 65) // 64)
+        self.width = w = _slot_width(bound.bit_length())
         low = _BIAS + self.low
         for i, (terms, atoms) in enumerate(pending):
             pending[i] = {}, atoms
@@ -440,8 +448,8 @@ class _Rows:
         so that holds as polynomials.  Else g is redone at twice the width."""
         while (quo := self._quotient(atom)) is not None:
             w = self.width
-            top = (max(map(int.bit_length, quo.values()), default=0) // w + 1) * w
-            bias = int.from_bytes((bytes(w // 8 - 1) + b"@") * (top // w), "little")
+            slots = max(map(int.bit_length, quo.values()), default=0) // w + 1
+            bias, top = _slot_bias(w, slots), slots * w
             if not any((x := r + bias) & bias << 1 or x >> top for r in quo.values()):
                 self.rows = quo
                 return True
@@ -486,10 +494,9 @@ class _Rows:
         as in ``divide``) in its own block; OverflowError past the q-range."""
         w, low, rows = self.width, self.low, self.rows
         top = max(map(int.bit_length, rows.values()), default=0) // w + 1
-        block = (bytes(w // 8 - 1) + b"@") * top
-        biased = map(int.from_bytes(block, "little").__add__, rows.values())
-        raw = b"".join(map(int.to_bytes, biased, repeat(len(block)), repeat("little")))
-        packed = int.from_bytes(raw, "little") - int.from_bytes(block * len(rows), "little")
+        biased = map(_slot_bias(w, top).__add__, rows.values())
+        raw = b"".join(map(int.to_bytes, biased, repeat(top * w // 8), repeat("little")))
+        packed = int.from_bytes(raw, "little") - _slot_bias(w, top * len(rows))
         digits = _unpack_q(packed, w).terms
         slots = [e % top for e in digits]
         if slots and not -_BIAS <= low + min(slots) <= low + max(slots) < _BIAS:
@@ -533,10 +540,6 @@ class ZqPoly:
         return out
 
     @staticmethod
-    def zero(n: int) -> "ZqPoly":
-        return ZqPoly(n)
-
-    @staticmethod
     def one(n: int) -> "ZqPoly":
         return ZqPoly(n, {(0, (0,) * n): 1})
 
@@ -570,9 +573,6 @@ class ZqPoly:
 
     def __neg__(self) -> "ZqPoly":
         return ZqPoly._of(self.n, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "ZqPoly") -> "ZqPoly":
-        return self + (-other)
 
     def _shifted(self, off: int, coeff: int) -> "ZqPoly":
         """coeff * self with every key moved by off."""
@@ -642,7 +642,7 @@ class RationalQZ:
 
     @staticmethod
     def zero(n: int) -> "RationalQZ":
-        return RationalQZ(ZqPoly.zero(n), ())
+        return RationalQZ(ZqPoly(n), ())
 
     @staticmethod
     def one(n: int) -> "RationalQZ":
@@ -672,10 +672,6 @@ class RationalQZ:
                 mult -= 1
             remaining[atom] = mult
         return RationalQZ(rows.poly(), _atom_tuple(+remaining))
-
-    def cleared_numer(self, extra_denom: Mapping[Atom, int] = ()) -> ZqPoly:
-        """numer * prod(extra atoms) as a single ZqPoly."""
-        return ZqPoly.sum_of(self.n, [(self.numer, dict(extra_denom))])
 
     def render(self, latex: bool = False) -> str:
         """Human-readable sign * unit * reduced numer / atoms form."""

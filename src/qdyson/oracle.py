@@ -29,6 +29,7 @@ from .exactalg import (
     RationalQZ,
     _layout,
     _offset,
+    _slot_width,
     _times_one_minus,
     _unpack_q,
     substitute_z,
@@ -41,11 +42,18 @@ class _Expansion(Mapping):
     lookup packs its tuple into a key and decodes that key's q-polynomial
     only; iteration reads the packed keys."""
 
-    def __init__(self, packed: dict[int, int], n: int, width: int):
-        self._packed = packed
-        self._layout = _layout(n - 1)
-        self._n = n
-        self._width = width
+    def __init__(self, a: Sequence[int], width: int):
+        """Build the product of a, whose slot width _expansion_width gave."""
+        n = len(a)
+        self._layout, self._n, self._width = _layout(n - 1), n, width
+        self._packed = out = {self._layout.bias: 1}
+        for i in range(n):
+            for j in range(i + 1, n):
+                up = _offset([(k == i) - (k == j) for k in range(n)])
+                factors = [(up, t) for t in range(a[i])]
+                factors += [(-up, t) for t in range(1, a[j] + 1)]
+                for off, t in factors:
+                    _times_one_minus(out, off, t * width)
 
     def __getitem__(self, exps: tuple[int, ...]) -> QPoly:
         try:
@@ -69,13 +77,18 @@ MAX_EXPANSION_BYTES = 2**29
 
 
 def _expansion_width(a: Sequence[int]) -> int:
-    """The q-slot width in bits of expand_qdyson_product(a), after checking
+    """The q-slot width in bits of the expansion of a, after checking a and
     the predicted size of the packed product against MAX_EXPANSION_BYTES:
     keys (each x-exponent lies in a box of side (n-2) a_i + sum(a) + 1, and
     the exponents sum to 0) times q-slots (the top q-degree plus one) times
-    width."""
+    width.  The product of N = (n-1) * sum(a) binomials has L1 norm at most
+    2**N, so every coefficient of every partial product fits the slot."""
     n = len(a)
-    width = 64 * (((n - 1) * sum(a) + 65) // 64)
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if any(x < 0 for x in a):
+        raise ValueError("the a_i must be nonnegative")
+    width = _slot_width((n - 1) * sum(a))
     keys = prod(sorted((n - 2) * x + sum(a) + 1 for x in a)[:-1])
     # the pair of a_i, a_j (i < j) has top q-degree 0+..+(a_i - 1) + 1+..+a_j
     pairs = combinations(a, 2)
@@ -86,6 +99,9 @@ def _expansion_width(a: Sequence[int]) -> int:
             f"a = {list(a)} predicts a {size:,}-byte oracle expansion, "
             f"more than the {MAX_EXPANSION_BYTES:,} bytes this library builds"
         )
+    # |exponent of x_i| is at most the number of binomials that touch x_i;
+    # _offset raises OverflowError if that leaves the packed field range
+    _offset([(n - 2) * x + sum(a) for x in a])
     return width
 
 
@@ -95,31 +111,11 @@ def expand_qdyson_product(a: Sequence[int]) -> Mapping[tuple[int, ...], QPoly]:
 
     The product is built one binomial 1 - q^t x^v at a time, on a dict from
     packed x-exponent keys (``exactalg``'s layout) to each key's whole
-    q-polynomial as one int, under the Kronecker substitution q -> 2**width.
-    The product of N = (n-1) * sum(a) binomials has L1 norm at most 2**N, so
-    every coefficient of every partial product fits a signed slot of width
-    bits once width >= N + 2; width is that, rounded up to a multiple of 64.
-    The returned mapping keeps that dict and decodes a coefficient only when
-    it is read.
+    q-polynomial as one int, under the Kronecker substitution q -> 2**width
+    (width from ``_expansion_width``).  The returned mapping keeps that dict
+    and decodes a coefficient only when it is read.
     """
-    n = len(a)
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if any(x < 0 for x in a):
-        raise ValueError("the a_i must be nonnegative")
-    # |exponent of x_i| is at most the number of binomials that touch x_i;
-    # _offset raises OverflowError if that leaves the packed field range
-    _offset([(n - 2) * x + sum(a) for x in a])
-    width = _expansion_width(a)
-    out = {_layout(n - 1).bias: 1}
-    for i in range(n):
-        for j in range(i + 1, n):
-            up = _offset([(k == i) - (k == j) for k in range(n)])
-            factors = [(up, t) for t in range(a[i])]
-            factors += [(-up, t) for t in range(1, a[j] + 1)]
-            for off, t in factors:
-                _times_one_minus(out, off, t * width)
-    return _Expansion(out, n, width)
+    return _Expansion(a, _expansion_width(a))
 
 
 def dyson_coefficient(
@@ -148,15 +144,6 @@ class VerificationReport:
     error: str = ""
 
 
-def _engine_value(
-    rational: RationalQZ, a: Sequence[int]
-) -> tuple[QPoly, QPoly]:
-    """Specialized engine coefficient (numerator, denominator) including the
-    q-multinomial factor."""
-    num, den = substitute_z(rational, a)
-    return num * q_multinomial_numeric(a), den
-
-
 def verify_query(
     delta: Sequence[int],
     a: Sequence[int],
@@ -164,27 +151,33 @@ def verify_query(
     expansion: Mapping[tuple[int, ...], QPoly] | None = None,
     rational: RationalQZ | None = None,
 ) -> VerificationReport:
-    """Compare engine and oracle for one (delta, a) pair."""
+    """Compare engine and oracle for one (delta, a) pair.  Engine errors are
+    reported in the result; bad input raises UsageError."""
     delta = tuple(delta)
     a = tuple(a)
+    if len(a) != len(delta):
+        raise UsageError("a must have the same length as delta")
     if any(x < 1 for x in a):
-        raise ValueError("the symbolic engine requires all a_i >= 1")
-    if expansion is None:  # an expansion passed in was sized when it was built
-        _expansion_width(a)  # fail before (q)_{sum a} or the expansion
+        raise UsageError("the symbolic engine requires all a_i >= 1")
+    if expansion is None:  # one passed in was sized when it was built
+        width = _expansion_width(a)  # fail before (q)_{sum a} or the expansion
     start = time.perf_counter()
     try:
         if rational is None:
             rational = coefficient_combined(
                 CoefficientQuery(delta=delta, shift=shift)
             ).rational
-        num, den = _engine_value(rational, a)
+        num, den = substitute_z(rational, a)
+        num *= q_multinomial_numeric(a)  # the engine's whole coefficient
         error = ""
     except UsageError:
         raise  # bad input, not an engine fault: fail before the expansion
     except QDysonError as exc:
         num, den = QPoly(), QPoly.one()
         error = f"{type(exc).__name__}: {exc}"
-    oracle = dyson_coefficient(a, delta, expansion)
+    if expansion is None:
+        expansion = _Expansion(a, width)
+    oracle = expansion.get(delta, QPoly())
     # num / den == oracle; den is a product of 1 - q^e with e != 0, never 0
     match = not error and num == oracle * den
     return VerificationReport(
@@ -254,7 +247,6 @@ class SweepConfig:
     n_range: tuple[int, ...] = (2, 3)
     a_max: int = 2
     delta_budget: int = 2
-    shift_policies: tuple[ShiftPolicy, ...] = ("zero", "best")
 
     def __post_init__(self):
         object.__setattr__(self, "n_range", tuple(sorted(set(self.n_range))))
@@ -276,15 +268,21 @@ def zero_sum_deltas(n: int, budget: int) -> list[tuple[int, ...]]:
 
 
 def sweep(config: SweepConfig) -> list[VerificationReport]:
-    """Deterministic engine-vs-oracle comparison over the configured range;
-    mismatches and engine errors are reported as data, never raised."""
+    """Deterministic engine-vs-oracle comparison over the configured range,
+    under the zero and the best shift; mismatches and engine errors are
+    reported as data, never raised."""
     reports: list[VerificationReport] = []
     for n in config.n_range:
         items = []
         for delta in zero_sum_deltas(n, config.delta_budget):
-            for policy in config.shift_policies:
-                query = CoefficientQuery(delta=delta, shift=policy)
-                items.append((delta, policy, coefficient_combined(query).rational))
+            for policy in ("zero", "best"):
+                try:
+                    r = coefficient_combined(CoefficientQuery(delta, policy)).rational
+                except UsageError:
+                    raise
+                except QDysonError:  # verify_query reruns it and reports the error
+                    r = None
+                items.append((delta, policy, r))
         for a in product(range(1, config.a_max + 1), repeat=n):
             expansion = expand_qdyson_product(a)
             reports.extend(

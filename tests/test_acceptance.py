@@ -165,21 +165,13 @@ def test_criterion_3_worked_closed_form():
 
 def test_criterion_4_oracle_sweep():
     start = time.perf_counter()
-    reports = sweep(
-        SweepConfig(
-            n_range=(2, 3, 4),
-            a_max=3,
-            delta_budget=4,
-            shift_policies=("best",),
-        )
-    )
+    reports = sweep(SweepConfig(n_range=(2, 3, 4), a_max=3, delta_budget=4))
     mismatches = [r for r in reports if not r.match]
     errors = [r for r in reports if r.error]
     assert not mismatches, f"{len(mismatches)} mismatches, first: {mismatches[0]}"
     assert not errors, f"{len(errors)} engine errors, first: {errors[0]}"
-    expected = sum(
-        len(zero_sum_deltas(n, 4)) * 3 ** n for n in (2, 3, 4)
-    )
+    # every delta under both shift policies, at every a
+    expected = 2 * sum(len(zero_sum_deltas(n, 4)) * 3 ** n for n in (2, 3, 4))
     assert len(reports) == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0, f"sweep runtime {elapsed:.1f}s >= 600s"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qdyson import cli, engine
+from qdyson import cli, engine, oracle
 from qdyson.cli import (
     EXIT_INCONSISTENT,
     EXIT_MISMATCH,
@@ -32,6 +32,7 @@ from qdyson.engine import (
     coefficient_split,
     equivalent,
 )
+from qdyson.errors import InternalInconsistency
 from qdyson.exactalg import Atom, Summand
 from qdyson.oracle import SweepConfig, zero_sum_deltas
 from qdyson.symforms import AffineForm
@@ -41,6 +42,19 @@ def run(capsys, *argv):
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def plant_engine_fault(monkeypatch, delta, shift):
+    """Make the oracle's engine call raise InternalInconsistency for one
+    (delta, shift) query."""
+    real = oracle.coefficient_combined
+
+    def planted(query):
+        if (query.delta, query.shift) == (delta, shift):
+            raise InternalInconsistency("planted")
+        return real(query)
+
+    monkeypatch.setattr(oracle, "coefficient_combined", planted)
 
 
 def summands_from_json(out):
@@ -157,6 +171,29 @@ class TestExitCodes:
     def test_constant_term_bad_n(self, capsys):
         code, _, _ = run(capsys, "constant-term", "--n", "0")
         assert code == EXIT_USAGE
+
+    def test_verify_reports_an_engine_error(self, capsys, monkeypatch):
+        plant_engine_fault(monkeypatch, (1, -1), "zero")
+        argv = ("verify", "--delta", "1,-1", "--a", "1,1", "--shift", "zero")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_MISMATCH, "")
+        assert out.startswith("delta: [1, -1]  a: [1, 1]  -> MISMATCH\n")
+        assert out.endswith("\nerror: InternalInconsistency: planted\n")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (EXIT_MISMATCH, "")
+        assert json.loads(out)["error"] == "InternalInconsistency: planted"
+
+    def test_internal_inconsistency(self, capsys, monkeypatch, tmp_path):
+        def fault(query):
+            raise InternalInconsistency("planted")
+
+        monkeypatch.setattr(cli, "coefficient_split", fault)
+        target = tmp_path / "out"
+        for extra in ((), ("--out", str(target))):
+            code, out, err = run(capsys, "coeff", "--delta", "1,-1", *extra)
+            assert (code, out) == (EXIT_INCONSISTENT, "")
+            assert err == "internal inconsistency: planted\n"
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -410,6 +447,15 @@ class TestSweepCommand:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("usage error: sweep bounds exceed desk scale")
+
+    def test_engine_error_fails_the_sweep(self, capsys, monkeypatch):
+        plant_engine_fault(monkeypatch, (1, -1), "zero")
+        code, out, err = run(
+            capsys, "sweep", "--n", "2", "--a-max", "1", "--delta-budget", "2"
+        )
+        assert (code, err) == (EXIT_MISMATCH, "")
+        assert "FAIL delta=[1, -1] a=[1, 1] shift=zero" in out.splitlines()
+        assert out.endswith("\ntotal: 6  failures: 1\n")
 
     def test_repeated_n_runs_once(self, capsys):
         totals = []

@@ -172,7 +172,7 @@ class TestZqPoly:
         product = poly.mul_atom(atom)
         quo = product.div_atom(atom)
         if poly.is_zero():
-            assert quo == ZqPoly.zero(1)
+            assert quo == ZqPoly(1)
         else:
             assert quo == poly
 

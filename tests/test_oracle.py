@@ -1,6 +1,7 @@
 """Brute-force expansion oracle, grid-sum oracle, and engine verification."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyson.errors import DuplicateNode, UsageError
+from qdyson.errors import DuplicateNode, InternalInconsistency, UsageError
 from qdyson.exactalg import QPoly, RationalQZ, equal_as_rational
 from qdyson.oracle import (
     SweepConfig,
@@ -20,7 +21,7 @@ from qdyson.oracle import (
     verify_query,
     zero_sum_deltas,
 )
-from qdyson import oracle, qpochhammer
+from qdyson import cli, oracle, qpochhammer
 from qdyson.engine import CoefficientQuery, coefficient_combined
 from qdyson.qpochhammer import q_multinomial_numeric
 
@@ -154,7 +155,7 @@ class TestSizeGuard:
         with pytest.raises(UsageError, match=predicted):
             expand_qdyson_product((200, 200))
 
-    def test_each_expansion_is_sized_once(self, monkeypatch):
+    def test_each_expansion_is_sized_once(self, monkeypatch, capsys):
         calls = []
         real = oracle._expansion_width
         monkeypatch.setattr(
@@ -166,6 +167,13 @@ class TestSizeGuard:
             report = verify_query(delta, (2, 1, 1), expansion=expansions[0])
             assert report.match, delta
         assert len(calls) == 2  # none for an expansion passed in
+        calls.clear()
+        assert verify_query((1, -1, 0), (2, 1, 1)).match
+        assert calls == [(2, 1, 1)]  # once for the expansion verify_query builds
+        calls.clear()
+        assert cli.run_command(["article", "--delta", "1,-1,0"]) == cli.EXIT_OK
+        assert "[match]" in capsys.readouterr().out
+        assert calls == [(1, 1, 1), (2, 2, 2)]  # once per appendix sample
 
     def test_verify_fails_before_the_q_multinomial(self, monkeypatch):
         def forbidden(*args):
@@ -371,6 +379,28 @@ class TestSweep:
         assert all(r.match for r in reports)
         # 3 deltas x 2 policies x 4 a-vectors
         assert len(reports) == 24
+
+    def test_engine_error_is_reported_not_raised(self, monkeypatch):
+        config = SweepConfig(n_range=(2,), a_max=2, delta_budget=2)
+        clean = sweep(config)
+        real = oracle.coefficient_combined
+
+        def planted(query):
+            if (query.delta, query.shift) == ((1, -1), "zero"):
+                raise InternalInconsistency("planted")
+            return real(query)
+
+        monkeypatch.setattr(oracle, "coefficient_combined", planted)
+        reports = sweep(config)
+        assert [(r.delta, r.a, r.shift) for r in reports] == [
+            (r.delta, r.a, r.shift) for r in clean
+        ]
+        for new, old in zip(reports, clean):
+            if (new.delta, new.shift) == ((1, -1), "zero"):
+                assert not new.match and new.error == "InternalInconsistency: planted"
+            else:
+                assert replace(new, seconds=0) == replace(old, seconds=0)
+        assert sum(not r.match for r in reports) == 4  # one per a
 
     def test_deterministic_order(self):
         config = SweepConfig(n_range=(2,), a_max=1, delta_budget=2)
