@@ -128,22 +128,17 @@ def report_json(rep: VerificationReport) -> dict:
 # ------------------------------------------------------------------ parsing
 
 
-def parse_int_vector(text: str, name: str) -> tuple[int, ...]:
+def parse_int_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"--{name} must be a comma-separated integer list")
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
-def parse_shift(text: str, n: int):
+def parse_shift(text: str):
     if text in ("auto", "best"):
         return "best"
-    if text == "zero":
-        return "zero"
-    vec = parse_int_vector(text, "shift")
-    if len(vec) != n:
-        raise UsageError(f"--shift vector must have length {n}")
-    return vec
+    return "zero" if text == "zero" else parse_int_vector(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,15 +157,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qdyson", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, delta=False, formats=("text", "latex", "json")):
+    def ints(p, flag, what, **kwargs):  # a flag holding one integer list
+        kwargs["help"] = f"comma-separated {what}"
+        p.add_argument(flag, type=parse_int_vector, **kwargs)
+
+    def add_common(p, delta=False, shift=False, formats=("text", "latex", "json")):
         if delta:
-            p.add_argument("--delta", required=True, help="comma-separated integers")
+            ints(p, "--delta", "integers", required=True)
+        if shift:
+            policies = "auto | zero | c1,c2,..."
+            p.add_argument("--shift", type=parse_shift, default="auto", help=policies)
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("coeff", help="compute the rational factor R for delta")
-    add_common(p, delta=True)
-    p.add_argument("--shift", default="auto", help="auto | zero | c1,c2,...")
+    add_common(p, delta=True, shift=True)
     p.add_argument("--split", action="store_true", help="one term per point")
     p.add_argument(
         "--cross-check-shifts",
@@ -186,19 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, delta=True, formats=("text", "json"))
 
     p = sub.add_parser("verify", help="compare against the brute-force oracle")
-    add_common(p, delta=True, formats=("text", "json"))
-    p.add_argument("--a", required=True, help="comma-separated positive integers")
-    p.add_argument("--shift", default="auto")
+    add_common(p, delta=True, shift=True, formats=("text", "json"))
+    ints(p, "--a", "positive integers", required=True)
 
     p = sub.add_parser("sweep", help="exhaustive oracle comparison at desk scale")
-    p.add_argument("--n", default="2,3", help="comma-separated variable counts")
+    ints(p, "--n", "variable counts", default="2,3")
     p.add_argument("--a-max", type=int, default=2)
     p.add_argument("--delta-budget", type=int, default=2)
     add_common(p, formats=("text", "json"))
 
     p = sub.add_parser("article", help="self-contained theorem + computation trace")
-    add_common(p, delta=True, formats=("text", "latex"))
-    p.add_argument("--shift", default="auto")
+    add_common(p, delta=True, shift=True, formats=("text", "latex"))
     return parser
 
 
@@ -245,10 +244,7 @@ def _cross_check_failure(
     set is not repeated.
     """
     n = query.n
-    if query.shift == "best":
-        best = split.shift_used
-    else:
-        best = best_shift(query.delta)[0]
+    best = split.shift_used if query.shift == "best" else best_shift(query.delta)[0]
     # Shifts differing by a constant give the same set: x -> q*x scales the
     # cleared product by q^((n-1)sigma) and prod phi'_i by q^(sum d_i), the
     # same power, so every summand is unchanged.  Compare with c_1 = 0.
@@ -264,12 +260,11 @@ def _cross_check_failure(
 
 
 def cmd_coeff(args) -> tuple[str, int]:
-    delta = parse_int_vector(args.delta, "delta")
-    shift = parse_shift(args.shift, len(delta))
+    delta = args.delta
     note = ""
     if sum(delta) != 0:
         note = "note: delta does not sum to zero; the coefficient is 0\n"
-    query = CoefficientQuery(delta=delta, shift=shift)
+    query = CoefficientQuery(delta=delta, shift=args.shift)
     split = coefficient_split(query)
     if not args.split or args.cross_check_shifts:
         result = combine(split)
@@ -296,36 +291,27 @@ def cmd_coeff(args) -> tuple[str, int]:
 
 
 def cmd_constant_term(args) -> tuple[str, int]:
-    if args.n < 1:
-        raise UsageError("--n must be a positive integer")
     return _combined_body(constant_term_identity(args.n), args.format), EXIT_OK
 
 
 def cmd_best_shift(args) -> tuple[str, int]:
-    delta = parse_int_vector(args.delta, "delta")
-    if sum(delta) != 0:
-        raise UsageError("--delta must sum to zero for best-shift")
+    delta = args.delta
     shift, size = best_shift(delta)
     if args.format == "json":
-        body = dumps_canonical(
-            {"delta": list(delta), "shift": list(shift), "size": size}
-        )
+        body = dumps_canonical({"delta": list(delta), "shift": list(shift), "size": size})
     else:
         body = f"delta: {list(delta)}\nshift: {list(shift)}\nsize: {size}\n"
     return body, EXIT_OK
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    delta = parse_int_vector(args.delta, "delta")
-    a = parse_int_vector(args.a, "a")
-    shift = parse_shift(args.shift, len(delta))
-    report = verify_query(delta, a, shift=shift)
+    report = verify_query(args.delta, args.a, shift=args.shift)
     if args.format == "json":
         body = dumps_canonical(report_json(report))
     else:
         status = "match" if report.match else "MISMATCH"
         lines = [
-            f"delta: {list(delta)}  a: {list(a)}  -> {status}",
+            f"delta: {list(report.delta)}  a: {list(report.a)}  -> {status}",
             f"engine: ({report.engine_numer}) / ({report.engine_denom})",
             f"oracle: {report.oracle_coeff}",
         ]
@@ -336,9 +322,8 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    n_range = parse_int_vector(args.n, "n")
     reports = sweep(
-        SweepConfig(n_range=n_range, a_max=args.a_max, delta_budget=args.delta_budget)
+        SweepConfig(n_range=args.n, a_max=args.a_max, delta_budget=args.delta_budget)
     )
     failures = [r for r in reports if not r.match]
     if args.format == "json":
@@ -361,11 +346,10 @@ def cmd_sweep(args) -> tuple[str, int]:
 
 
 def cmd_article(args) -> tuple[str, int]:
-    delta = parse_int_vector(args.delta, "delta")
+    delta, shift = args.delta, args.shift
     n = len(delta)
     if sum(delta) != 0:
         raise UsageError("--delta must sum to zero for article output")
-    shift = parse_shift(args.shift, n)
     latex = args.format == "latex"
     split = coefficient_split(CoefficientQuery(delta=delta, shift=shift))
     result = combine(split)
@@ -419,6 +403,9 @@ def run_command(argv: Sequence[str]) -> int:
         return code
     except (UsageError, OverflowError) as exc:  # or an exponent past the packed range
         sys.stderr.write(f"usage error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError:  # a query too large for this machine, not a fault
+        sys.stderr.write("usage error: ran out of memory; try a smaller query\n")
         return EXIT_USAGE
     except InternalInconsistency as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")

@@ -49,9 +49,9 @@ class CoefficientQuery:
     def __post_init__(self):
         if isinstance(self.shift, str):
             if self.shift not in ("zero", "best"):
-                raise ValueError(f"unknown shift policy {self.shift!r}")
-        elif len(self.shift) != len(self.delta):
-            raise ValueError("shift vector has wrong length")
+                raise UsageError(f"unknown shift policy {self.shift!r}")
+        elif len(self.shift) != self.n:
+            raise UsageError(f"shift vector has wrong length, need {self.n}")
 
 
 @dataclass(frozen=True)

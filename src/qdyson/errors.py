@@ -10,7 +10,7 @@ class DimensionMismatch(QDysonError, ValueError):
 
 
 class UsageError(QDysonError, ValueError):
-    """Malformed user input (CLI flags, bad vector lengths)."""
+    """Malformed input: a CLI flag, or a delta, shift, n or a the library refuses."""
 
 
 class DenominatorVanishes(QDysonError, ZeroDivisionError):

@@ -726,10 +726,6 @@ class Summand:
 
 def substitute_z(r: RationalQZ, a: Sequence[int]) -> tuple[QPoly, QPoly]:
     """Specialize z_i -> q^{a_i}; returns (numerator, denominator) QPolys."""
-    if len(a) != r.n:
-        raise DimensionMismatch("substitution vector has wrong length")
-    if r.is_zero():
-        return QPoly(), QPoly.one()
     num = r.numer.substitute_z(a)
     den = {0: 1}
     for atom, mult in r.denom:

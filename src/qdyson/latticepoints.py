@@ -41,14 +41,14 @@ def _checked(
     """delta and shift (zero if None) as tuples, checked for every caller."""
     n = len(delta)
     if n == 0:
-        raise ValueError("need at least one variable")
+        raise UsageError("need at least one variable")
     if n > MAX_N:
         raise UsageError(f"n = {n} is past this library's ceiling of {MAX_N}")
     if sum(delta) != 0:
-        raise ValueError("delta must sum to zero")
+        raise UsageError("delta must sum to zero")
     shift = (0,) * n if shift is None else tuple(shift)
     if len(shift) != n:
-        raise ValueError("shift vector has wrong length")
+        raise UsageError(f"shift vector has wrong length, need {n}")
     return tuple(delta), shift
 
 

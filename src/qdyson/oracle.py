@@ -85,9 +85,9 @@ def _expansion_width(a: Sequence[int]) -> int:
     2**N, so every coefficient of every partial product fits the slot."""
     n = len(a)
     if n < 1:
-        raise ValueError("need at least one variable")
+        raise UsageError("need at least one variable")
     if any(x < 0 for x in a):
-        raise ValueError("the a_i must be nonnegative")
+        raise UsageError("the a_i must be nonnegative")
     width = _slot_width((n - 1) * sum(a))
     keys = prod(sorted((n - 2) * x + sum(a) + 1 for x in a)[:-1])
     # the pair of a_i, a_j (i < j) has top q-degree 0+..+(a_i - 1) + 1+..+a_j
@@ -125,7 +125,7 @@ def dyson_coefficient(
 ) -> QPoly:
     """Coefficient of prod x_i^{delta_i}, by direct expansion."""
     if len(a) != len(delta):
-        raise ValueError("a and delta have different lengths")
+        raise UsageError("a and delta have different lengths")
     if expansion is None:
         expansion = expand_qdyson_product(a)
     return expansion.get(tuple(delta), QPoly())
@@ -250,7 +250,7 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_range", tuple(sorted(set(self.n_range))))
-        if min(self.n_range) < 1 or self.a_max < 1 or self.delta_budget < 0:
+        if min(self.n_range, default=0) < 1 or self.a_max < 1 or self.delta_budget < 0:
             raise UsageError("sweep needs n >= 1, a_max >= 1 and delta_budget >= 0")
         # a budget of 8 takes minutes at n = 4, a = 1; sum |delta_i| is even
         if max(self.n_range) > 4 or self.a_max > 3 or self.delta_budget > 6:

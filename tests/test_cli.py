@@ -22,8 +22,6 @@ from qdyson.cli import (
     dumps_canonical,
     formula_from_json,
     formula_json,
-    parse_int_vector,
-    parse_shift,
     run_command,
 )
 from qdyson.engine import (
@@ -193,6 +191,39 @@ class TestExitCodes:
             code, out, err = run(capsys, "coeff", "--delta", "1,-1", *extra)
             assert (code, out) == (EXIT_INCONSISTENT, "")
             assert err == "internal inconsistency: planted\n"
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # each rule judged once: by argparse's type= parser or by the library
+            "coeff --delta=1,-1 --shift 0,0,0",
+            "coeff --delta=x",
+            "coeff --delta=1,-1,0 --shift 0,1",
+            "best-shift --delta=1,0",
+            "constant-term --n 0",
+            "constant-term --n -2",
+            "verify --delta=1,-1 --a 1,x",
+            "verify --delta=1,-1 --a 1,1 --shift 0",
+            "sweep --n 2,x",
+            "article --delta=1,-1 --shift 0,0,0",
+        ],
+    )
+    def test_malformed_input_is_one_usage_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+    def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(engine, "combine_sum", exhausted)
+        target = tmp_path / "out"
+        for extra in ((), ("--out", str(target))):
+            code, out, err = run(capsys, "coeff", "--delta", "1,-1", *extra)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == "usage error: ran out of memory; try a smaller query\n"
         assert not target.exists()
 
     @pytest.mark.parametrize(
@@ -737,8 +768,7 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("argv,text,latex", PINNED_COEFF, ids=PINNED_IDS)
     def test_str_is_text_form(self, argv, text, latex):
         args = build_parser().parse_args(argv)
-        delta = parse_int_vector(args.delta, "delta")
-        query = CoefficientQuery(delta=delta, shift=parse_shift(args.shift, len(delta)))
+        query = CoefficientQuery(delta=args.delta, shift=args.shift)
         if args.split:  # Summand.render, nothing expanded
             rationals = [s for _, s in coefficient_split(query).terms]
             marker = " R_k = "

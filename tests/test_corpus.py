@@ -21,6 +21,7 @@ import pytest
 
 from qdyson.cli import dumps_canonical, formula_from_json, formula_json
 from qdyson.engine import CoefficientQuery, coefficient_combined, coefficient_split, combine
+from qdyson.exactalg import Atom, RationalQZ, ZqPoly
 from qdyson.oracle import zero_sum_deltas
 
 HERE = Path(__file__).resolve().parent
@@ -126,3 +127,67 @@ def test_summand_order_does_not_change_r():
 def test_summand_order_69_points():
     pinned = pinned_pool(4)[(-2, 0, 0, 2)]
     assert shuffled_bytes((-2, 0, 0, 2), (0, 1, 1, 1), (1, 2, 3)) == [pinned] * 3
+
+
+def denominator_rule_violations(rational, delta):
+    """The denominator atoms of R for delta outside the observed rule: each
+    atom is 1 - q^t z_S of multiplicity 1, where S does not contain all of
+    pos(delta) and 1 <= t <= sum(-delta_i, i in S, delta_i < 0), so S meets
+    neg(delta).  The rule is observed on every R computed so far, not
+    derived, so only tests check it."""
+    pos = {i for i, d in enumerate(delta) if d > 0}
+    bad = []
+    for atom, mult in rational.denom:
+        s = {i for i, v in enumerate(atom.coeffs) if v}
+        neg_mass = -sum(delta[i] for i in s if delta[i] < 0)
+        if not (
+            mult == 1
+            and set(atom.coeffs) <= {0, 1}
+            and not pos <= s
+            and 1 <= atom.constant <= neg_mass
+        ):
+            bad.append((atom, mult))
+    return bad
+
+
+def test_denominator_rule_flags_each_clause():
+    # (t, z-exponents of z_S, multiplicity) for delta = (1, -1, 0)
+    atoms = [
+        (1, (0, 1, 0), 1),  # allowed: 1 - q*z2
+        (1, (0, 1, 1), 1),  # allowed: 1 - q*z2*z3
+        (1, (0, 1, 0), 2),  # repeated
+        (1, (0, 0, 1), 1),  # S misses neg(delta)
+        (1, (1, 1, 0), 1),  # S holds all of pos(delta)
+        (2, (0, 1, 0), 1),  # t past the negative mass of S
+        (0, (0, 1, 0), 1),  # t < 1
+        (1, (0, 2, 0), 1),  # not a set
+    ]
+    rational = RationalQZ(ZqPoly.one(3), tuple((Atom(t, v), m) for t, v, m in atoms))
+    bad = denominator_rule_violations(rational, (1, -1, 0))
+    assert bad == list(rational.denom[2:])
+
+
+def test_denominator_rule():
+    pinned = {**pinned_pool(2, SMALL_CORPUS), **pinned_pool(3, SMALL_CORPUS)}
+    pinned.update({**pinned_pool(4), **pinned_pool(5)})
+    pools = {
+        "pinned": [(d, formula_from_json(json.loads(f))) for d, f in pinned.items()],
+        **{
+            f"n = {n}, sum |delta_i| <= {budget}": [
+                (d, coefficient_combined(CoefficientQuery(d)).rational)
+                for d in zero_sum_deltas(n, budget)
+                if any(d)
+            ]
+            for n, budget in ((3, 8), (4, 6))
+        },
+    }
+    seen = {}
+    for name, pool in pools.items():
+        for delta, rational in pool:
+            assert denominator_rule_violations(rational, delta) == [], delta
+        seen[name] = (len(pool), sum(len(r.denom) for _, r in pool))
+    assert seen == {
+        "pinned": (206, 615),
+        "n = 3, sum |delta_i| <= 8": (60, 249),
+        "n = 4, sum |delta_i| <= 6": (146, 634),
+    }

@@ -109,6 +109,11 @@ class TestQuery:
         with pytest.raises(ValueError):
             CoefficientQuery(delta=(1, -1), shift=(0,))
 
+    @pytest.mark.parametrize("shift", ["fastest", "auto", (0,), (0, 0, 0)])
+    def test_malformed_query_is_a_usage_error(self, shift):
+        with pytest.raises(UsageError):
+            CoefficientQuery(delta=(1, -1), shift=shift)
+
     def test_resolve(self):
         assert coefficient_split(CoefficientQuery(delta=(1, -1), shift="zero")).shift_used == (0, 0)
         assert coefficient_split(CoefficientQuery(delta=(1, -1), shift=(0, 3))).shift_used == (0, 3)

@@ -164,6 +164,22 @@ class TestDescentCount:
         with pytest.raises(ValueError, match="need at least one variable"):
             call(())
 
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            *(
+                (call, args)
+                for call in (enumerate_evaluation_set, evaluation_set_size)
+                for args in [((),), ((1, 0),), ((1, -1), (0,)), ((1, -1), (0, 0, 0))]
+            ),
+            (best_shift, ((),)),  # best_shift takes no shift to check
+            (best_shift, ((1, 0),)),
+        ],
+    )
+    def test_malformed_input_is_a_usage_error(self, call, args):
+        with pytest.raises(UsageError):
+            call(*args)
+
 
 class TestWalkMatchesScan:
     @pytest.mark.parametrize("family", SHIFT_FAMILIES)

@@ -134,6 +134,11 @@ class TestExpansion:
         with pytest.raises(ValueError):
             expand_qdyson_product((1, -1))
 
+    @pytest.mark.parametrize("a", [(), (1, -1), (0, -2, 1)])
+    def test_malformed_a_is_a_usage_error(self, a):
+        with pytest.raises(UsageError):
+            expand_qdyson_product(a)
+
 
 class TestSizeGuard:
     @pytest.mark.parametrize(
@@ -250,6 +255,8 @@ class TestDysonCoefficient:
 
     def test_length_check(self):
         with pytest.raises(ValueError):
+            dyson_coefficient((1, 1), (1, -1, 0))
+        with pytest.raises(UsageError, match="a and delta have different lengths"):
             dyson_coefficient((1, 1), (1, -1, 0))
 
 
@@ -372,6 +379,10 @@ class TestSweep:
             SweepConfig(n_range=(5,))
         with pytest.raises(ValueError):
             SweepConfig(a_max=4)
+
+    def test_no_n_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="sweep needs n >= 1"):
+            SweepConfig(n_range=())
 
     def test_small_sweep_all_match(self):
         reports = sweep(SweepConfig(n_range=(2,), a_max=2, delta_budget=2))
