@@ -19,6 +19,7 @@ from .errors import InternalInconsistency, UsageError
 from .exactalg import RationalQZ, Summand, ZqPoly
 from .latticepoints import (
     EvaluationPoint,
+    _check_shift_length,
     best_shift,
     enumerate_evaluation_set,
     evaluation_set_size,
@@ -50,8 +51,8 @@ class CoefficientQuery:
         if isinstance(self.shift, str):
             if self.shift not in ("zero", "best"):
                 raise UsageError(f"unknown shift policy {self.shift!r}")
-        elif len(self.shift) != self.n:
-            raise UsageError(f"shift vector has wrong length, need {self.n}")
+        else:
+            _check_shift_length(self.shift, self.n)
 
 
 @dataclass(frozen=True)

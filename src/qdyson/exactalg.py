@@ -12,9 +12,10 @@ Four sparse representations, all immutable in practice:
   int key with a 16-bit field per variable, so multiplying by a monomial adds
   one int to every key.  The packing is private: the constructor and
   ``items()`` take and give ((qexp, zexp), coeff) pairs.  Sums, atom products
-  and atom quotients run in row form (``_Rows``): one Kronecker int per
-  z-monomial, so 1 - m moves whole rows, and an exact quotient is a running
-  sum along the z-lines of m, certified by a digit-range check;
+  and atom quotients run in row form (``_Rows``): one Kronecker int in
+  (z_n, q) per monomial in z_1..z_(n-1), from its own least slot, so 1 - m
+  moves a row's key and least slot, never its int, and an exact quotient is
+  a running sum along the lines of m, certified by digit-range and no-wrap checks;
 * ``RationalQZ`` -- a ZqPoly numerator over a multiset of denominator
   atoms, never expanded.  Its sign and unit monomial are split off only
   when it is written (``render`` and ``cli.formula_json``);
@@ -40,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import chain, compress, repeat
-from operator import add, floordiv, itemgetter, lshift, mul, or_, sub
+from operator import add, itemgetter, lshift, mul, or_
 from struct import Struct, unpack
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -138,12 +139,6 @@ def _slot_width(bits: int) -> int:
     return 64 * ((bits + 65) // 64)
 
 
-def _slot_bias(width: int, slots: int) -> int:
-    """2**(width - 2) in each of slots width-bit slots: it makes every digit
-    in [-2**(width - 2), 2**(width - 2)) a nonnegative one below 2**(width - 1)."""
-    return int.from_bytes((bytes(width // 8 - 1) + b"@") * slots, "little")
-
-
 def _pack_q(terms: Mapping[int, int], low: int, width: int) -> int:
     """The int sum_e c_e 2**(width * (e - low)) of the terms {e: c_e}."""
     return sum(c << width * (e - low) for e, c in terms.items())
@@ -178,8 +173,8 @@ def _times_one_minus(terms: dict[int, int], off: int, shift: int = 0) -> None:
     Every product of binomials at concrete a is built here: the oracle's
     expansion and the verify-side specialization (``substitute_z`` and the
     q-Pochhammer products and q-multinomial of ``qpochhammer``).  The
-    engine's R never touches it; ZqPoly multiplies in row form
-    (``_Rows._times``), so the check shares no kernel with what it checks."""
+    engine's R never touches it; ZqPoly moves packed (z_n, q) rows and their
+    least slots (``_Rows._times``), so the check shares no kernel with it."""
     if not off:
         raise ValueError("1 - q^0 is identically zero")
     get = terms.get
@@ -359,64 +354,91 @@ def _exps_offset(n: int, exps: Sequence[int]) -> int:
 
 
 @cache
-def _line(n: int, atom: Atom) -> tuple[int, int, int]:
-    """z^v's z-key offset, and the bit offset and value of v's largest |v_i|."""
-    v = atom[1:] or (0,)  # n = 0: the atom is q-only and the field unused
+def _line(n: int, atom: Atom) -> tuple[int, int, int, int]:
+    """The row-key offset of z^v without its z_n part, the bit offset and
+    value of that part's largest |v_i|, and v_n (0 when n = 0)."""
+    _exps_offset(n, atom)  # the length and every exponent's range
+    v = atom[1:n] or (0,)  # n <= 1: no atom moves a row
     i = max(range(len(v)), key=lambda j: abs(v[j]))
-    return (_exps_offset(n, atom) - atom[0]) >> _STRIDE, _STRIDE * i, v[i]
+    return _offset((0, *atom[1:n])), _STRIDE * (i + 1), v[i], atom[n] if n else 0
 
 
-def _add_rows(acc: dict[int, int], rows: Iterable[tuple[int, int]], op=add) -> None:
-    """acc[k] = op(acc[k], r) for (k, r) in rows, dropping rows that cancel."""
+def _plus(w: int, a: Optional[tuple], b: Optional[tuple]) -> Optional[tuple[int, int]]:
+    """The sum of two rows (least slot, int) at slot width w, either one
+    None for zero, with the empty slots at its low end stripped."""
+    if not (a and b):
+        return a or b
+    (la, xa), (lb, xb) = (a, b) if a[0] <= b[0] else (b, a)
+    if la < lb:  # xa's least slot holds a digit, so the sum's does too
+        return la, xa + (xb << w * (lb - la))
+    if not (x := xa + xb):
+        return None
+    z = ((x & -x).bit_length() - 1) // w
+    return la + z, x >> w * z
+
+
+def _add_rows(acc: dict, rows: Iterable[tuple[int, tuple[int, int]]], w: int) -> None:
+    """acc[k] += r for (k, r) in rows, dropping rows that cancel."""
     get = acc.get
     for k, r in rows:
-        if s := op(get(k, 0), r):
+        if s := _plus(w, get(k), r):
             acc[k] = s
         else:
             del acc[k]
 
 
-class _Rows:
-    """A ZqPoly as packed z-key (``_layout(n - 1)``) -> the key's q-polynomial
-    in QPoly's Kronecker form sum_e c_e 2**(width (e - low)), one int."""
+def _geometric(x: int, b: int) -> Optional[int]:
+    """The int g with g - (g << b) == x, or None: G = x (1 + 2**b + .. + 2**(k - b)),
+    doubled until 2**k > |x| >= |g|, is g - (g << k) if g exists, so G >> k gives g."""
+    g, k = x, b
+    while k <= x.bit_length():
+        g, k = g + (g << k), 2 * k
+    g = -(g >> k) if g <= 0 else ~(g >> k)
+    return g if g - (g << b) == x else None
 
-    __slots__ = ("n", "width", "low", "rows")
+
+class _Rows:
+    """A ZqPoly as rows: packed key, q and z_n fields cleared -> (least slot l,
+    int).  Slot j is z_n^(j div Q) q^(base + j mod Q), both biased as in the
+    key, and the int is sum_j c_j 2**(width (j - l)), with a digit in slot l."""
+
+    __slots__ = ("n", "width", "base", "span", "rows")
 
     def __init__(self, n: int, terms: Iterable[tuple["ZqPoly", Mapping[Atom, int]]]):
         """The rows of ``ZqPoly.sum_of(n, terms)``.  No partial sum or product
-        has L1 norm above sum L1(poly) 2**(sum mult) < 2**(width-2) or a
-        q-exponent below low: a poly's least, plus t * mult per atom with t < 0."""
-        pending, bound, lows = [], 0, []
+        has L1 norm above sum L1(poly) 2**(sum mult) < 2**(width-2), nor a
+        q-exponent outside [base, base + Q), Q = span: a poly's least and
+        greatest plus t * mult over its atoms with t < 0 and with t > 0."""
+        pending, bound, lows, highs = [], 0, [], []
         for p, atoms in terms:
             if p.n != n:
                 raise DimensionMismatch("z-variable counts differ")
             pending.append((p._terms, atoms := +Counter(atoms)))
             bound += sum(map(abs, p._terms.values())) << sum(atoms.values())
-            dip = sum(min(0, atom[0]) * m for atom, m in atoms.items())
-            lows.append(min(map(_FIELD.__and__, p._terms), default=_FIELD) - _BIAS + dip)
-        self.n, self.low, self.rows = n, min(lows, default=0), {}
+            if p._terms:
+                qs = list(map(_FIELD.__and__, p._terms))
+                lows.append(min(qs) + sum(min(0, a[0]) * m for a, m in atoms.items()))
+                highs.append(max(qs) + sum(max(0, a[0]) * m for a, m in atoms.items()))
+        self.n, self.base, self.rows = n, min(lows, default=0), {}
         self.width = w = _slot_width(bound.bit_length())
-        low = _BIAS + self.low
+        self.span = span = max(highs, default=0) - self.base + 1
+        mid, top = ((1 << _STRIDE * n) - 1) & ~_FIELD, _STRIDE * max(n, 1)
         for i, (terms, atoms) in enumerate(pending):
             pending[i] = {}, atoms
-            encoded = ((k >> _STRIDE, c << w * ((k & _FIELD) - low)) for k, c in terms.items())
-            _add_rows(pending[i][0], encoded)
+            slots = ((k >> top) * span + (k & _FIELD) - self.base for k in terms)
+            _add_rows(pending[i][0], zip(map(mid.__and__, terms), zip(slots, terms.values())), w)
         self._sum_into(self.rows, pending)
 
-    def _sum_into(self, acc: dict[int, int], pending: list) -> None:
+    def _sum_into(self, acc: dict, pending: list) -> None:
         """acc += sum of rows * prod(atom ** mult) over (rows, Counter) pairs,
         each this sum's own to change.  Multiplies late: the atom most pairs
         need (ties to the largest) goes into their partial sum once."""
-        if len(pending) == 1:  # one pair: multiply its atoms in one by one
-            ((rows, atoms),) = pending
-            for atom in atoms.elements():
-                self._times(rows, atom)
-            _add_rows(acc, rows.items())
-            return
         need = Counter(chain.from_iterable(map(itemgetter(1), pending)))
-        if not need:
-            for rows, _ in pending:
-                _add_rows(acc, rows.items())
+        if len(pending) == 1 or not need:  # multiply each pair's atoms in one by one
+            for rows, atoms in pending:
+                for atom in atoms.elements():
+                    self._times(rows, atom)
+                _add_rows(acc, rows.items(), self.width)
             return
         atom = max(zip(need.values(), need))[1]
         rest = [p for p in pending if atom not in p[1]]
@@ -429,81 +451,89 @@ class _Rows:
         self._sum_into(part, inner)
         self._times(part, atom)
         if part is not acc:
-            _add_rows(acc, part.items())
+            _add_rows(acc, part.items(), self.width)
         del part  # free the partial before summing the rest
         self._sum_into(acc, rest)
 
-    def _times(self, rows: dict[int, int], atom: Atom) -> None:
-        """Multiply rows by 1 - q^t z^v in place: row k + v less row k
-        shifted by t slots, exact for t < 0 too, as none falls below low."""
-        zoff, bits = _line(self.n, atom)[0], atom[0] * self.width
-        _check_range(keys := list(map(zoff.__add__, rows)), self.n - 1)
-        move = bits.__rlshift__ if bits >= 0 else (-bits).__rrshift__
-        _add_rows(rows, list(zip(keys, map(move, rows.values()))), sub)
+    def _times(self, rows: dict, atom: Atom) -> None:
+        """Multiply rows by 1 - q^t z^v in place: row k, negated and its least
+        slot moved by s = t + v_n Q, is added to row k + v' (v less v_n), and
+        keys are visited away from v', so each row is read before it grows."""
+        off, _, _, vn = _line(self.n, atom)
+        _check_range(map(off.__add__, rows), self.n)
+        keys, s = sorted(rows, reverse=off > 0), atom[0] + vn * self.span
+        moved = ((k + off, (l + s, -x)) for k, (l, x) in zip(keys, map(rows.get, keys)))
+        _add_rows(rows, moved, self.width)
 
     def divide(self, atom: Atom) -> bool:
         """Divide by the atom 1 - m in place if the quotient is a polynomial,
         else return False.  ``_quotient`` gives g with f = (1 - m) g as ints;
-        with g's digits in [-2**(w-2), 2**(w-2)) like f's, no slot carries,
-        so that holds as polynomials.  Else g is redone at twice the width."""
+        g is redone at twice the width unless its digits lie in [-2**(w-2),
+        2**(w-2)) like f's, so no slot carries, and is no polynomial quotient
+        if a digit's q + t leaves [base, base + Q): its slot wraps a z_n step."""
         while (quo := self._quotient(atom)) is not None:
-            w = self.width
-            slots = max(map(int.bit_length, quo.values()), default=0) // w + 1
-            bias, top = _slot_bias(w, slots), slots * w
-            if not any((x := r + bias) & bias << 1 or x >> top for r in quo.values()):
-                self.rows = quo
-                return True
+            w, t, span, wraps, checks = self.width, atom[0], self.span, False, {}
+            band = b"".join((b"\xff", b"\0")[0 <= j + t < span] * (w // 8) for j in range(span))
+            for l, x in quo.values():  # one bias and phase-0 mask per row size
+                if (size := x.bit_length() // w + 1) not in checks:
+                    bias = int.from_bytes((bytes(w // 8 - 1) + b"@") * size, "little")
+                    mask = int.from_bytes(band * (size // span + 2), "little")
+                    checks[size] = bias, bias << 1 | -1 << size * w, mask
+                bias, guard, mask = checks[size]
+                if (y := x + bias) & guard:
+                    break
+                wraps = wraps or (y ^ bias) & mask >> l % span * w
+            else:
+                self.rows = self.rows if wraps else quo
+                return not wraps
             self.width = 2 * w
-            self.rows = {k: _pack_q(_unpack_q(r, w).terms, 0, 2 * w) for k, r in self.rows.items()}
+            for k, (l, x) in self.rows.items():
+                self.rows[k] = l, _pack_q(_unpack_q(x, w).terms, 0, 2 * w)
         return False
 
-    def _quotient(self, atom: Atom) -> Optional[dict[int, int]]:
+    def _quotient(self, atom: Atom) -> Optional[dict]:
         """Rows g with self = (1 - q^t z^v) g as ints, or None if none exist:
-        for v = 0 an exact division of each row by 2**(|t| width) - 1, else a
-        running sum g_k = f_k + q^t g_(k-v) along each line k + Z v of z-keys
-        (for t < 0 run back on 1 - m = -m (1 - 1/m)) whose value past the end
-        is the remainder.  A line is named by its key at position 0, the field
-        where |v| is largest floor divided by v there: key and step
+        for v = v_n e_n one ``_geometric`` per row, else a running sum g_k =
+        f_k + m g_(k-v) along each line k + Z v of row keys, whose value past
+        the end is the remainder.  A line is named by its key at position 0,
+        the field where |v| is largest floor divided by v there: key and step
         differences stay below 2**14 + (2**14 + 2**13) < 2**16, so no field
-        carries and two lines never share a name."""
-        (zoff, shift, step), t = _line(self.n, atom), atom[0]
-        rows, s, out = self.rows, abs(t) * self.width, {}
+        carries and two lines never share a name.  |t| >= Q leaves none."""
+        (zoff, shift, step, vn), rows, out = _line(self.n, atom), self.rows, {}
+        s, w = atom[0] + vn * self.span, self.width
+        if rows and abs(atom[0]) >= self.span:
+            return None
         if not zoff:
-            for k, r in rows.items():
-                out[k], rem = divmod(r << s if t < 0 else -r, (1 << s) - 1)
-                if rem:
+            for k, (l, x) in rows.items():
+                if (g := _geometric(x if s > 0 else -x, abs(s) * w)) is None:
                     return None
+                out[k] = (l if s > 0 else l - s, g)
             return out
-        walk = zoff if t >= 0 else -zoff  # the key step along a walk
-        keys = sorted(rows, reverse=walk < 0)
+        keys = sorted(rows, reverse=zoff < 0)
         names = [k - (k >> shift & _FIELD) // step * zoff for k in keys]
         last, get = dict(zip(names, keys)), rows.get  # each line's last key
         for name, first in zip(names, keys):
             if (end := last.pop(name, None)) is None:  # a line already walked
                 continue
-            acc = 0
-            for k in range(first, end + walk, walk):
-                if acc := get(k, 0) + (acc << s):
+            acc = None
+            for k in range(first, end + zoff, zoff):
+                if acc := _plus(w, get(k), acc and (acc[0] + s, acc[1])):
                     out[k] = acc
             if acc:
                 return None
-        return out if t >= 0 else {k + walk: -(g << s) for k, g in out.items()}
+        return out
 
     def poly(self) -> "ZqPoly":
-        """The rows decoded by one ``_unpack_q`` of one int, each row (biased
-        as in ``divide``) in its own block; OverflowError past the q-range."""
-        w, low, rows = self.width, self.low, self.rows
-        top = max(map(int.bit_length, rows.values()), default=0) // w + 1
-        biased = map(_slot_bias(w, top).__add__, rows.values())
-        raw = b"".join(map(int.to_bytes, biased, repeat(top * w // 8), repeat("little")))
-        packed = int.from_bytes(raw, "little") - _slot_bias(w, top * len(rows))
-        digits = _unpack_q(packed, w).terms
-        slots = [e % top for e in digits]
-        if slots and not -_BIAS <= low + min(slots) <= low + max(slots) < _BIAS:
-            raise OverflowError(f"exponent outside [{-_BIAS}, {_BIAS})")
-        bases = [(z << _STRIDE) + _BIAS + low for z in rows]
-        keys = map(add, map(bases.__getitem__, map(floordiv, digits, repeat(top))), slots)
-        return ZqPoly._of(self.n, dict(zip(keys, digits.values())))
+        """Each row decoded by one ``_unpack_q`` from its least slot, and each
+        slot by one divmod by Q; OverflowError past the range of q or z_n."""
+        w, span, base, top, out = self.width, self.span, self.base, _STRIDE * max(self.n, 1), {}
+        for k, (l, x) in self.rows.items():
+            for j, c in _unpack_q(x, w, l).terms.items():
+                z, q = divmod(j, span)
+                if not 0 <= z < 2 * _BIAS > q + base >= 0:
+                    raise OverflowError(f"exponent outside [{-_BIAS}, {_BIAS})")
+                out[k + (z << top) + q + base] = c
+        return ZqPoly._of(self.n, out)
 
 
 class ZqPoly:
@@ -511,9 +541,9 @@ class ZqPoly:
 
     Terms are stored as packed exponent key -> nonzero integer coefficient;
     the constructor and items() speak ((qexp, zexp-tuple), coeff).
-    Exponents must lie in [-8192, 8192): an atom product whose z-exponents
-    leave that range raises OverflowError at once, a q-exponent when the
-    row form is decoded.
+    Exponents must lie in [-8192, 8192): an atom product whose exponents of
+    z_1..z_(n-1) leave that range raises OverflowError at once, of q or z_n
+    when the row form is decoded.
     """
 
     __slots__ = ("n", "_terms")

@@ -47,9 +47,14 @@ def _checked(
     if sum(delta) != 0:
         raise UsageError("delta must sum to zero")
     shift = (0,) * n if shift is None else tuple(shift)
+    _check_shift_length(shift, n)
+    return tuple(delta), shift
+
+
+def _check_shift_length(shift: Sequence[int], n: int) -> None:
+    """The one rule for an explicit shift: one entry per variable."""
     if len(shift) != n:
         raise UsageError(f"shift vector has wrong length, need {n}")
-    return tuple(delta), shift
 
 
 @dataclass(frozen=True)

@@ -118,14 +118,19 @@ def expand_qdyson_product(a: Sequence[int]) -> Mapping[tuple[int, ...], QPoly]:
     return _Expansion(a, _expansion_width(a))
 
 
+def _check_lengths(a: Sequence[int], delta: Sequence[int]) -> None:
+    """The one rule tying a to delta: one a_i per variable."""
+    if len(a) != len(delta):
+        raise UsageError("a must have the same length as delta")
+
+
 def dyson_coefficient(
     a: Sequence[int],
     delta: Sequence[int],
     expansion: Mapping[tuple[int, ...], QPoly] | None = None,
 ) -> QPoly:
     """Coefficient of prod x_i^{delta_i}, by direct expansion."""
-    if len(a) != len(delta):
-        raise UsageError("a and delta have different lengths")
+    _check_lengths(a, delta)
     if expansion is None:
         expansion = expand_qdyson_product(a)
     return expansion.get(tuple(delta), QPoly())
@@ -155,8 +160,7 @@ def verify_query(
     reported in the result; bad input raises UsageError."""
     delta = tuple(delta)
     a = tuple(a)
-    if len(a) != len(delta):
-        raise UsageError("a must have the same length as delta")
+    _check_lengths(a, delta)
     if any(x < 1 for x in a):
         raise UsageError("the symbolic engine requires all a_i >= 1")
     if expansion is None:  # one passed in was sized when it was built

@@ -18,7 +18,7 @@ from qdyson.engine import (
     equivalent,
 )
 from qdyson.errors import UsageError
-from qdyson.exactalg import Atom, RationalQZ, Summand, ZqPoly
+from qdyson.exactalg import Atom, RationalQZ, Summand, ZqPoly, _Rows
 from qdyson.latticepoints import evaluation_set_size
 from qdyson.symforms import AffineForm
 
@@ -295,6 +295,20 @@ class TestCombineSum:
             {Atom(1, (0, 1)): 1},
         )
         assert combine_sum([t1, t2], 2) == expected
+
+    def test_sum_packs_z_n_with_q(self):
+        # the combine's sum keeps one row per monomial in z_1..z_(n-1), q and
+        # z_n packed into its int: 326 rows here, against the 897 that one
+        # int per z-monomial needs
+        terms = [s for _, s in coefficient_split(CoefficientQuery((-2, 0, 0, 2), "zero")).terms]
+        lcm = Counter()
+        for t in terms:
+            for atom, mult in t.denom:
+                lcm[atom] = max(lcm[atom], mult)
+        rows = _Rows(4, [t.cleared(lcm - t.denom_counter()) for t in terms])
+        zexps = [z for (_, z), _ in rows.poly().items()]
+        assert len(rows.rows) == len({z[:-1] for z in zexps}) == 326
+        assert len(set(zexps)) == 897
 
 
 class TestEquivalent:

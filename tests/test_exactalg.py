@@ -4,6 +4,7 @@ import copy
 import pickle
 from collections import Counter
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -320,6 +321,59 @@ class TestPackedZqPoly:
         on_the_diagonal = {(e, tuple(e * x for x in v)): c for e, c in expected.items()}
         assert dict(r.numer.items()) == on_the_diagonal
         assert max(expected.terms.values()).bit_length() > 62
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_diagonal_in_the_packed_coordinate(self, n):
+        # (1 - (q z_n)^64)^10 / (1 - q z_n)^10 = (1 + q z_n + .. + (q z_n)^63)^10:
+        # q and z_n share one row, with one digit in each of its 641 z_n steps
+        m = Atom(1, (0,) * (n - 1) + (1,))
+        power = Atom(64, tuple(64 * x for x in m.coeffs))
+        product = ZqPoly.one(n)
+        for _ in range(10):
+            product = ZqPoly(n, times_atom(product, power))
+        numer = ZqPoly.sum_of(n, [(ZqPoly.one(n), {power: 10})])
+        assert numer == product
+        r = RationalQZ.make(numer, {m: 10})
+        assert r.denom == ()
+        back = r.numer
+        for _ in range(10):
+            back = ZqPoly(n, times_atom(back, m))
+        assert back == numer
+        assert len(r.numer.items()) == 631
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_negative_steps_cross_z_n_steps(self, n):
+        # atoms with t < 0 and v_n < 0 move slots down across z_n steps, by
+        # more and by less than one step
+        rest = (0,) * (n - 1)
+        atoms = [Atom(-2, (*rest, -1)), Atom(-1, (*rest, -3)), Atom(3, (*rest, -1))]
+        if n > 1:
+            atoms.append(Atom(-1, (-1, *rest[1:], -2)))
+        poly = ZqPoly(n, {(0, (*rest, 0)): 2, (4, (*rest, 1)): -1, (-3, (*rest, 2)): 5})
+        pairs = [(poly, {a: 1 for a in atoms}), (-poly, {atoms[0]: 2}), (poly, {})]
+        expected = Counter()
+        for p, mults in pairs:
+            for atom, mult in mults.items():
+                for _ in range(mult):
+                    p = ZqPoly(n, times_atom(p, atom))
+            expected.update(dict(p.items()))
+        total = ZqPoly.sum_of(n, pairs)
+        assert total == ZqPoly(n, expected)
+        for atom in atoms:
+            product = ZqPoly(n, times_atom(total, atom))
+            assert product.div_atom(atom) == total
+            assert times_atom(product.div_atom(atom), atom) == dict(product.items())
+
+    @pytest.mark.parametrize("n, atom", [(1, Atom(1, (0,))), (2, Atom(1, (1, 0)))])
+    def test_quotient_that_wraps_is_refused(self, n, atom):
+        # f = q^2 - z_n z^v for the atom 1 - q z^v (v = 0 at n = 1): q lies in
+        # [0, 2], so slot (z_n, q) is 3 z_n + q and q^2 z_n^0 sits next to
+        # z_n.  The packed quotient of f is q^2, but (1 - q z^v) q^2 is
+        # q^2 - q^3 z^v, not f: q^2 times q wraps into the next z_n step
+        zn = (0,) * (n - 1) + (1,)
+        f = ZqPoly(n, {(2, (0,) * n): 1, (0, tuple(map(add, zn, atom.coeffs))): -1})
+        assert f.div_atom(atom) is None
+        assert ZqPoly(n, times_atom(f, atom)).div_atom(atom) == f
 
     def test_no_z_variables(self):
         p = ZqPoly(0, {(0, ()): 1, (1, ()): -1})

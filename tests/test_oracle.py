@@ -256,8 +256,10 @@ class TestDysonCoefficient:
     def test_length_check(self):
         with pytest.raises(ValueError):
             dyson_coefficient((1, 1), (1, -1, 0))
-        with pytest.raises(UsageError, match="a and delta have different lengths"):
+        with pytest.raises(UsageError, match="a must have the same length as delta"):
             dyson_coefficient((1, 1), (1, -1, 0))
+        with pytest.raises(UsageError, match="a must have the same length as delta"):
+            verify_query((1, -1, 0), (1, 1))
 
 
 class TestVerify:
